@@ -62,13 +62,13 @@ ci:
 	$(GO) test -run '^$$' -bench 'BenchmarkNilStoreScrape|BenchmarkNilRecorderTrigger' -benchtime=1x ./internal/obs/history/
 	# The zero-alloc gate runs without -race (race instrumentation itself
 	# allocates, so the test skips under the race suite above), then a
-	# one-iteration smoke of the fan-out A/B matrix.
+	# one-iteration smoke of the fan-out zero-copy/reference matrix.
 	$(GO) test -run '^TestSteadyStateZeroAlloc$$' -count=1 ./internal/fanout/
 	$(GO) test -run '^$$' -bench 'BenchmarkFanOut' -benchtime=1x ./internal/fanout/
-	# The multi-core race lane: the parallel fan-out tick, its COW set and
-	# worker pool, and the churn stress all re-run with four scheduler
-	# threads so cross-worker interleavings the single-threaded suite can't
-	# produce get race coverage.
+	# The multi-core race lane: admissions racing the clock goroutine on the
+	# station lock, the COW subscriber set, and the tick churn stress all
+	# re-run with four scheduler threads so interleavings the suite above
+	# can't produce on fewer threads get race coverage.
 	GOMAXPROCS=4 $(GO) test -race -cpu 4 -count=1 ./internal/fanout/ ./internal/station/ ./internal/vodserver/
 	# The drain-path alloc gate: one vectored write per popped batch, zero
 	# allocations per batch at steady state.
@@ -90,11 +90,10 @@ bench-load:
 	@echo "bench-load: report in BENCH_load.json"
 
 # The zero-copy data plane A/B (shared ref-counted slot frames + write
-# rings versus the serialize-per-tick reference) across -cpu 1,4: the
-# serial/parallel/reference matrix behind BENCH_fanout.json. The zero-copy
-# rows must hold 0 allocs/op.
+# rings versus the serialize-per-tick reference); BENCH_fanout.json holds
+# the historical matrix. The zero-copy rows must hold 0 allocs/op.
 bench-fanout:
-	$(GO) test -run '^$$' -bench 'BenchmarkFanOut' -benchmem -cpu 1,4 ./internal/fanout/
+	$(GO) test -run '^$$' -bench 'BenchmarkFanOut' -benchmem ./internal/fanout/
 
 # Benchstat-style regression gate: build a throwaway worktree at BASE, run
 # the same benchmark matrix in both trees, and print the old/new/delta
@@ -125,12 +124,11 @@ bench-conn:
 bench-core:
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmit' -benchmem ./internal/core/
 
-# Sharded station versus the single-mutex whole-engine baseline across
-# -cpu 1,2,4; the reference numbers live in BENCH_station.json, and
-# BENCH_obs2.json holds the disabled-path A/B for the pipeline
-# observability layer.
+# Station admission throughput and admissions interleaved with slot
+# advances, all on the one station lock. BENCH_station.json and
+# BENCH_obs2.json hold historical numbers from the sharded engine.
 bench-station:
-	$(GO) test -run '^$$' -bench 'BenchmarkStation' -benchmem -cpu 1,2,4 ./internal/station/
+	$(GO) test -run '^$$' -bench 'BenchmarkStation' -benchmem ./internal/station/
 
 # Proves the scheduler observer hook is free when disabled: compare the
 # ObserverOff ns/op against ObserverOn (a no-op observer wired in).

@@ -29,8 +29,6 @@ func main() {
 		segments      = flag.Int("segments", 99, "segments per video")
 		slotMillis    = flag.Int("slot-ms", 500, "slot duration in milliseconds")
 		segmentBytes  = flag.Int("segment-bytes", 4096, "payload bytes per segment")
-		shards        = flag.Int("shards", 0, "station worker shards (0 = one per CPU, capped at the catalogue size)")
-		fanoutWorkers = flag.Int("fanout-workers", 0, "parallel broadcast tick workers over contiguous catalogue spans (0 = one per CPU capped at the catalogue size, 1 = serial tick)")
 		statsAddr     = flag.String("stats-addr", "", "optional HTTP monitoring address serving /statsz, /statusz, /healthz, /metricsz, /tracez, /spanz and /debug/pprof")
 		tracePath     = flag.String("trace", "", "optional JSONL file capturing every scheduler event")
 		spanPath      = flag.String("span-trace", "", "optional JSONL file capturing sampled admission pipeline spans")
@@ -41,7 +39,6 @@ func main() {
 		alertFor      = flag.Duration("alert-for", 0, "how long a breach must hold before a rule fires (0 = fire immediately)")
 		missThreshold = flag.Float64("miss-threshold", 0, "windowed mean deadline misses per client report that fires the miss alert (0 = 0.5)")
 		reportStale   = flag.Duration("report-stale", 0, "fire a staleness alert when no client report arrives for this long (0 = disabled)")
-		fanoutMode    = flag.String("fanout", "zerocopy", "broadcast data plane: zerocopy (shared ref-counted frames over write rings) or reference (per-subscriber copies over channels)")
 		historyEvery  = flag.Duration("history-interval", 0, "metric history scrape interval (0 = 1s)")
 		noHistory     = flag.Bool("no-history", false, "disable the in-process metric history (and /queryz)")
 		historyBytes  = flag.Int("history-max-bytes", 0, "metric history memory cap in bytes (0 = 8 MiB)")
@@ -56,11 +53,10 @@ func main() {
 	opts := serveOpts{
 		addr: *addr, statsAddr: *statsAddr, tracePath: *tracePath, spanPath: *spanPath,
 		videos: *videos, segments: *segments, slotMillis: *slotMillis,
-		segmentBytes: *segmentBytes, shards: *shards, fanoutWorkers: *fanoutWorkers, spanSample: *spanSample,
+		segmentBytes: *segmentBytes, spanSample: *spanSample,
 		sloMillis: *sloMillis, sloObjective: *sloObjective,
 		alertInterval: *alertInterval, alertFor: *alertFor,
 		missThreshold: *missThreshold, reportStale: *reportStale,
-		fanoutMode:   *fanoutMode,
 		historyEvery: *historyEvery, noHistory: *noHistory, historyBytes: *historyBytes,
 		flightDir: *flightDir, flightCool: *flightCool, flightKeep: *flightKeep,
 		noConntrack: *noConntrack, connEvery: *connEvery, connStalled: *connStalled,
@@ -75,11 +71,10 @@ func main() {
 type serveOpts struct {
 	addr, statsAddr, tracePath, spanPath       string
 	videos, segments, slotMillis, segmentBytes int
-	shards, fanoutWorkers, spanSample          int
+	spanSample                                 int
 	sloMillis, sloObjective                    float64
 	alertInterval, alertFor, reportStale       time.Duration
 	missThreshold                              float64
-	fanoutMode                                 string
 	historyEvery                               time.Duration
 	noHistory                                  bool
 	historyBytes                               int
@@ -94,9 +89,6 @@ type serveOpts struct {
 func run(o serveOpts) error {
 	if o.videos <= 0 {
 		return fmt.Errorf("video count %d must be positive", o.videos)
-	}
-	if o.fanoutMode != "zerocopy" && o.fanoutMode != "reference" {
-		return fmt.Errorf("fanout mode %q must be zerocopy or reference", o.fanoutMode)
 	}
 	catalogue := make([]vodserver.VideoConfig, o.videos)
 	for i := range catalogue {
@@ -130,8 +122,6 @@ func run(o serveOpts) error {
 		Addr:              o.addr,
 		Videos:            catalogue,
 		SlotDuration:      time.Duration(o.slotMillis) * time.Millisecond,
-		Shards:            o.shards,
-		FanoutWorkers:     o.fanoutWorkers,
 		StatsAddr:         o.statsAddr,
 		SpanSampleEvery:   o.spanSample,
 		SLOTargetSeconds:  o.sloMillis / 1000,
@@ -140,7 +130,6 @@ func run(o serveOpts) error {
 		AlertFor:          o.alertFor,
 		MissRateThreshold: o.missThreshold,
 		ReportStaleAfter:  o.reportStale,
-		FanoutReference:   o.fanoutMode == "reference",
 		HistoryInterval:   o.historyEvery,
 		HistoryDisabled:   o.noHistory,
 		HistoryMaxBytes:   o.historyBytes,
@@ -162,8 +151,8 @@ func run(o serveOpts) error {
 		return err
 	}
 	defer srv.Close()
-	fmt.Printf("vodserver listening on %s (%d videos, %d segments, %d ms slots, %d shards, %s fan-out)\n",
-		srv.Addr(), o.videos, o.segments, o.slotMillis, srv.Station().Shards(), o.fanoutMode)
+	fmt.Printf("vodserver listening on %s (%d videos, %d segments, %d ms slots)\n",
+		srv.Addr(), o.videos, o.segments, o.slotMillis)
 	if srv.StatsAddr() != "" {
 		fmt.Printf("introspection on http://%s/{statsz,statusz,healthz,metricsz,tracez,spanz,alertz,queryz,connz,debug/pprof}\n", srv.StatsAddr())
 		fmt.Printf("live dashboard: go run ./cmd/vodtop -addr %s\n", srv.StatsAddr())

@@ -44,9 +44,7 @@ func (c *catalog) add(id uint32, sizes []int) error {
 // the zero-copy wire appenders. One encoder serves one server. EncodeSlot
 // is safe for concurrent use once the catalogue is built (AddVideo is not):
 // the catalogue is read-only after start-up and the frame pool is a
-// sync.Pool, so parallel fan-out workers encoding disjoint catalogue spans
-// share one encoder — each worker warms its own per-P pool cache and the
-// steady state stays allocation-free per worker.
+// sync.Pool.
 type Encoder struct {
 	cat  catalog
 	pool *Pool

@@ -1,48 +1,11 @@
 package station
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"vodcast/internal/core"
 )
-
-// singleMutexEngine is the baseline the sharded station is measured
-// against: the same per-video schedulers behind ONE engine-wide mutex, the
-// design a straightforward "make it concurrent" port of the simulation
-// would produce. Every admission serializes against every other, whatever
-// the video.
-type singleMutexEngine struct {
-	mu     sync.Mutex
-	scheds []*core.Scheduler
-}
-
-func newSingleMutexEngine(b *testing.B, videos, segments int) *singleMutexEngine {
-	e := &singleMutexEngine{scheds: make([]*core.Scheduler, videos)}
-	for i := range e.scheds {
-		s, err := core.New(core.Config{Segments: segments})
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.scheds[i] = s
-	}
-	return e
-}
-
-func (e *singleMutexEngine) Admit(video int) {
-	e.mu.Lock()
-	e.scheds[video].AdmitRequest(core.AdmitOptions{})
-	e.mu.Unlock()
-}
-
-func (e *singleMutexEngine) AdvanceSlot() {
-	e.mu.Lock()
-	for _, s := range e.scheds {
-		s.AdvanceSlot()
-	}
-	e.mu.Unlock()
-}
 
 const (
 	benchVideos   = 64
@@ -58,124 +21,40 @@ func newBenchStation(b *testing.B) *Station {
 }
 
 // BenchmarkStationAdmit measures parallel admission throughput: goroutines
-// admit across the catalogue round-robin. "sharded" is the station;
-// "single-mutex" is the whole-engine-lock baseline. On a multi-core host
-// the sharded engine's advantage is the point of the design; on one core
-// the two mostly measure lock overhead.
+// admit across the catalogue round-robin, every admission contending for
+// the one station lock.
 func BenchmarkStationAdmit(b *testing.B) {
-	b.Run("sharded", func(b *testing.B) {
-		st := newBenchStation(b)
-		var next atomic.Int64
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			v := int(next.Add(1)) % benchVideos
-			for pb.Next() {
-				if _, err := st.Admit(v, core.AdmitOptions{}); err != nil {
-					b.Error(err)
-					return
-				}
-				v = (v + 1) % benchVideos
-			}
-		})
-	})
-	b.Run("single-mutex", func(b *testing.B) {
-		e := newSingleMutexEngine(b, benchVideos, benchSegments)
-		var next atomic.Int64
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			v := int(next.Add(1)) % benchVideos
-			for pb.Next() {
-				e.Admit(v)
-				v = (v + 1) % benchVideos
-			}
-		})
-	})
-	// "coalesced-batch" admits the same workload but groups every 16
-	// same-video arrivals into one AdmitBatch call: one lock acquisition
-	// and one full placement plus 15 memo hits per group. ns/op stays
-	// per-admission (each pb.Next() is one admission), so the row is
-	// directly comparable to "sharded".
-	b.Run("coalesced-batch", func(b *testing.B) {
-		st := newBenchStation(b)
-		const group = 16
-		var next atomic.Int64
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			v := int(next.Add(1)) % benchVideos
-			pending := 0
-			for pb.Next() {
-				if pending++; pending < group {
-					continue
-				}
-				if _, err := st.AdmitBatch(v, pending, core.AdmitOptions{}); err != nil {
-					b.Error(err)
-					return
-				}
-				pending = 0
-				v = (v + 1) % benchVideos
-			}
-			if pending > 0 {
-				if _, err := st.AdmitBatch(v, pending, core.AdmitOptions{}); err != nil {
-					b.Error(err)
-				}
-			}
-		})
-	})
-}
-
-// BenchmarkStationMixed interleaves batched admissions with slot advances
-// (one advance per 256 operations per goroutine), the realistic steady
-// state of a clock-driven server under load.
-func BenchmarkStationMixed(b *testing.B) {
-	b.Run("sharded", func(b *testing.B) {
-		st := newBenchStation(b)
-		var next atomic.Int64
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			v := int(next.Add(1)) % benchVideos
-			n := 0
-			for pb.Next() {
-				if n++; n%256 == 0 {
-					st.AdvanceSlot()
-					continue
-				}
-				if err := st.Enqueue(v, 0); err != nil {
-					b.Error(err)
-					return
-				}
-				v = (v + 1) % benchVideos
-			}
-		})
-	})
-	b.Run("single-mutex", func(b *testing.B) {
-		e := newSingleMutexEngine(b, benchVideos, benchSegments)
-		var next atomic.Int64
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			v := int(next.Add(1)) % benchVideos
-			n := 0
-			for pb.Next() {
-				if n++; n%256 == 0 {
-					e.AdvanceSlot()
-					continue
-				}
-				e.Admit(v)
-				v = (v + 1) % benchVideos
-			}
-		})
-	})
-}
-
-// BenchmarkStationEnqueue isolates the batched admission path (lock
-// amortization): FlushBatch admissions share one lock acquisition.
-func BenchmarkStationEnqueue(b *testing.B) {
 	st := newBenchStation(b)
 	var next atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		v := int(next.Add(1)) % benchVideos
 		for pb.Next() {
-			if err := st.Enqueue(v, 0); err != nil {
+			if _, err := st.Admit(v, core.AdmitOptions{}); err != nil {
+				b.Error(err)
+				return
+			}
+			v = (v + 1) % benchVideos
+		}
+	})
+}
+
+// BenchmarkStationMixed interleaves admissions with slot advances (one
+// advance per 256 operations per goroutine), the realistic steady state of
+// a clock-driven server under load.
+func BenchmarkStationMixed(b *testing.B) {
+	st := newBenchStation(b)
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		v := int(next.Add(1)) % benchVideos
+		n := 0
+		for pb.Next() {
+			if n++; n%256 == 0 {
+				st.AdvanceSlot()
+				continue
+			}
+			if _, err := st.Admit(v, core.AdmitOptions{}); err != nil {
 				b.Error(err)
 				return
 			}

@@ -1,41 +1,27 @@
-// Package station is the concurrent multi-video broadcast engine: it owns
-// one DHB scheduler per catalogue video and partitions them across worker
-// shards so admissions for different videos proceed in parallel.
+// Package station is the multi-video broadcast engine: one DHB scheduler per
+// catalogue video, all behind one mutex and all on one shared slot grid.
 //
-// The paper's introduction motivates a server distributing a whole catalogue
-// under per-video demand; core.Scheduler deliberately has no concurrency
-// story (one goroutine per scheduler), so catalogue-scale service is a
-// sharding problem, exactly as Viennot et al. treat distributed VoD as a
-// parallel-channel problem. The design:
+// The paper schedules every video independently and core.Scheduler has no
+// concurrency story of its own (one goroutine per scheduler), so the station
+// adds exactly what a catalogue server needs on top of it:
 //
-//   - Sharding. Videos are assigned round-robin to S shards; each shard
-//     guards its schedulers with its own mutex. Admissions for videos on
-//     different shards never contend.
-//   - One clock. A single optional clock goroutine fans AdvanceSlot ticks
-//     out to every shard (in parallel) so all videos share the slot grid;
+//   - One lock. The station mutex guards every scheduler. Admit holds it for
+//     one scheduler call; AdvanceSlotInto holds it for one walk of the
+//     catalogue on the caller's goroutine.
+//   - One clock. StartClock runs the single clock goroutine that retires a
+//     slot of every video per interval, so all videos share the slot grid;
 //     deterministic drivers call AdvanceSlot themselves instead.
-//   - Batched admission. Enqueue appends a request to the shard's bounded
-//     pending queue and returns immediately; the batch is applied under one
-//     lock acquisition when it reaches FlushBatch requests, and always
-//     before the shard's next AdvanceSlot — a request enqueued during slot
-//     i is admitted in slot i, so batching never changes DHB semantics.
-//   - Overload. A full pending queue rejects with ErrOverloaded instead of
-//     blocking: under overload the engine degrades by shedding admissions,
-//     never by stalling the broadcast clock.
 //
-// Within one slot, admissions for the same video are identical operations,
-// so any interleaving of shard work yields the same per-video schedule as a
-// sequential run with the same per-slot arrival counts; station_test.go
+// An admission that takes the lock during slot i is admitted in slot i, and
+// within one slot the admissions for one video are identical operations, so
+// any interleaving of concurrent Admits yields the same per-video schedule as
+// a sequential run with the same per-slot arrival counts; station_test.go
 // proves this equivalence against K independent core schedulers.
 package station
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,23 +32,14 @@ import (
 
 // Sentinel errors. Construction errors wrap these (and the core sentinels
 // for per-video scheduler problems) with context; runtime errors from Admit
-// and Enqueue are classifiable with errors.Is.
+// are classifiable with errors.Is.
 var (
 	// ErrEmptyCatalogue reports a Config with no videos.
 	ErrEmptyCatalogue = errors.New("station: empty catalogue")
-	// ErrBadShards reports a negative Config.Shards.
-	ErrBadShards = errors.New("station: shard count must be non-negative")
-	// ErrBadQueueDepth reports a negative Config.QueueDepth.
-	ErrBadQueueDepth = errors.New("station: queue depth must be non-negative")
-	// ErrBadFlushBatch reports a negative Config.FlushBatch.
-	ErrBadFlushBatch = errors.New("station: flush batch must be non-negative")
 	// ErrBadSlotDuration reports a non-positive StartClock interval.
 	ErrBadSlotDuration = errors.New("station: slot duration must be positive")
 	// ErrUnknownVideo reports a video index outside the catalogue.
 	ErrUnknownVideo = errors.New("station: unknown video")
-	// ErrOverloaded reports an Enqueue against a full shard queue; the
-	// request was shed, not blocked.
-	ErrOverloaded = errors.New("station: admission queue full")
 	// ErrClosed reports an operation against a closed station.
 	ErrClosed = errors.New("station: closed")
 	// ErrClockRunning reports a second StartClock without a StopClock.
@@ -82,9 +59,9 @@ type VideoConfig struct {
 	// slot reports feed a data plane, as in vodserver).
 	TrackSegments bool
 	// Observer optionally receives the video's scheduling decisions. It is
-	// invoked under the owning shard's lock, possibly from clock or flush
-	// goroutines, so it must be safe for use from multiple goroutines over
-	// time (obs.SchedObserver over a Tracer is).
+	// invoked under the station lock, from admitting and clock goroutines
+	// alike, so it must be safe for use from multiple goroutines over time
+	// (obs.SchedObserver over a Tracer is).
 	Observer core.Observer
 }
 
@@ -93,35 +70,9 @@ type Config struct {
 	// Videos is the catalogue. Video indices in the station API are indices
 	// into this slice.
 	Videos []VideoConfig
-	// Shards is the number of worker shards; 0 selects
-	// min(GOMAXPROCS, len(Videos)).
-	Shards int
-	// QueueDepth bounds each shard's pending (asynchronous) admission
-	// queue; an Enqueue against a full queue is rejected with
-	// ErrOverloaded. 0 selects DefaultQueueDepth.
-	QueueDepth int
-	// FlushBatch is the pending-queue length that triggers an immediate
-	// batch flush; smaller batches trade lock amortization for admission
-	// latency. 0 selects DefaultFlushBatch.
-	FlushBatch int
-	// Registry optionally receives the per-shard gauges and counters
-	// (station_shard_queue_depth, station_shard_admits_total,
-	// station_shard_rejects_total).
+	// Registry optionally receives the admission stage histograms and the
+	// clock health series.
 	Registry *obs.Registry
-}
-
-// Defaults for the zero values of Config.
-const (
-	DefaultQueueDepth = 1024
-	DefaultFlushBatch = 64
-)
-
-// pendingReq is one asynchronously enqueued admission. Arrival instants for
-// the enqueue-wait stage live in the shard's parallel enqTimes slice, kept
-// separate so the uninstrumented queue stays two words per request.
-type pendingReq struct {
-	video int
-	from  int
 }
 
 // stage is one instrumented pipeline stage: a histogram for scrape-horizon
@@ -139,16 +90,10 @@ func (s *stage) observe(v float64) {
 
 // Stage names of the admission pipeline, the keys of Status.Stages.
 const (
-	// StageEnqueueWait is the time a batched admission waits in the shard
-	// queue between Enqueue and its flush.
-	StageEnqueueWait = "enqueue_wait"
-	// StageLockWait is the time an admission waits for its shard's lock.
+	// StageLockWait is the time an admission waits for the station lock.
 	StageLockWait = "lock_wait"
-	// StageAdmit is the scheduler service time under the shard lock.
+	// StageAdmit is the scheduler service time under the station lock.
 	StageAdmit = "admit"
-	// StageQueueDepth is the shard queue depth sampled at every flush (a
-	// request count, not seconds).
-	StageQueueDepth = "queue_depth"
 )
 
 // stageBuckets bound the stage histograms: admission stages complete in
@@ -158,17 +103,12 @@ var stageBuckets = []float64{
 	5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 5e-2, 0.25, 1,
 }
 
-// depthBuckets bound the sampled queue-depth histogram.
-var depthBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096}
-
 // stationObs carries every instrument of an observed station; a nil
 // *stationObs disables the whole layer for one predictable branch per hot
 // path.
 type stationObs struct {
-	enqueueWait stage
-	lockWait    stage
-	admit       stage
-	queueDepth  stage
+	lockWait stage
+	admit    stage
 
 	clockLag   *obs.Gauge
 	clockDrift *obs.Gauge
@@ -184,58 +124,35 @@ func newStationObs(reg *obs.Registry) *stationObs {
 			"Admission pipeline stage latencies.", stageBuckets, obs.Labels{"stage": name})
 		st.win = obs.NewWindow(0)
 	}
-	latency(StageEnqueueWait, &o.enqueueWait)
 	latency(StageLockWait, &o.lockWait)
 	latency(StageAdmit, &o.admit)
-	o.queueDepth.hist = reg.Histogram("station_queue_depth_sampled",
-		"Shard pending-queue depth sampled at every flush (requests, not seconds).", depthBuckets)
-	o.queueDepth.win = obs.NewWindow(0)
 	o.clockLag = reg.Gauge("station_clock_tick_lag_seconds",
 		"Lag of the most recent clock tick behind its scheduled time.")
 	o.clockDrift = reg.Gauge("station_clock_slot_drift_slots",
 		"Clock tick lag expressed in slot durations; >=1 means a whole slot slipped.")
 	o.clockTicks = reg.Counter("station_clock_ticks_total",
-		"Slot ticks fanned out by the clock goroutine.")
+		"Slot ticks retired by the clock goroutine.")
 	o.clockWin = obs.NewWindow(0)
 	return o
 }
 
-// stationVideo binds one catalogue video to its scheduler and shard.
+// stationVideo binds one catalogue video to its scheduler.
 type stationVideo struct {
 	name  string
 	sched *core.Scheduler
-	shard int
 }
 
-// shard is one worker partition: a mutex, the videos it owns, and the
-// bounded pending queue of batched admissions.
-type shard struct {
-	mu      sync.Mutex
-	videos  []int // station video indices owned by this shard
-	pending []pendingReq
-	// enqTimes shadows pending with per-request enqueue instants. It is
-	// only appended to when the station is instrumented, keeping
-	// pendingReq small (pure memory traffic) on the disabled path.
-	enqTimes []time.Time
-	// assign is the shard's reusable assignment scratch: Admit and
-	// AdmitBatch serve WantAssignment from it (growing it on demand) when
-	// the caller supplies no buffer of their own, keeping the traced admit
-	// path allocation-free in steady state. Guarded by mu.
-	assign []int
-
-	// Per-shard observability (nil without a Registry).
-	queueDepth *obs.Gauge
-	admits     *obs.Counter
-	rejects    *obs.Counter
-}
-
-// Station is a sharded multi-video DHB broadcast engine. All methods are
-// safe for concurrent use.
+// Station is a multi-video DHB broadcast engine. All methods are safe for
+// concurrent use.
 type Station struct {
-	videos     []*stationVideo
-	shards     []*shard
-	queueCap   int
-	flushBatch int
+	// mu guards every scheduler and the assignment scratch.
+	mu     sync.Mutex
+	videos []stationVideo
+	// assign is the reusable assignment scratch: Admit serves
+	// WantAssignment from it (growing it on demand) when the caller supplies
+	// no buffer of their own, keeping the traced admit path allocation-free
+	// in steady state.
+	assign []int
 
 	// obs is the pipeline instrumentation, nil when Config.Registry was
 	// nil: every hot path pays exactly one branch for the disabled layer.
@@ -260,49 +177,9 @@ func New(cfg Config) (*Station, error) {
 	if len(cfg.Videos) == 0 {
 		return nil, ErrEmptyCatalogue
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadShards, cfg.Shards)
-	}
-	if cfg.QueueDepth < 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadQueueDepth, cfg.QueueDepth)
-	}
-	if cfg.FlushBatch < 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadFlushBatch, cfg.FlushBatch)
-	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > len(cfg.Videos) {
-		shards = len(cfg.Videos)
-	}
-	st := &Station{
-		videos:     make([]*stationVideo, len(cfg.Videos)),
-		shards:     make([]*shard, shards),
-		queueCap:   cfg.QueueDepth,
-		flushBatch: cfg.FlushBatch,
-	}
-	if st.queueCap == 0 {
-		st.queueCap = DefaultQueueDepth
-	}
-	if st.flushBatch == 0 {
-		st.flushBatch = DefaultFlushBatch
-	}
+	st := &Station{videos: make([]stationVideo, len(cfg.Videos))}
 	if cfg.Registry != nil {
 		st.obs = newStationObs(cfg.Registry)
-	}
-	for i := range st.shards {
-		sh := &shard{}
-		if cfg.Registry != nil {
-			ls := obs.Labels{"shard": fmt.Sprint(i)}
-			sh.queueDepth = cfg.Registry.GaugeWith("station_shard_queue_depth",
-				"Admissions batched in the shard's pending queue, waiting for the next flush.", ls)
-			sh.admits = cfg.Registry.CounterWith("station_shard_admits_total",
-				"Requests admitted through the shard (synchronous and batched).", ls)
-			sh.rejects = cfg.Registry.CounterWith("station_shard_rejects_total",
-				"Requests shed by the shard: queue overload or invalid resume points.", ls)
-		}
-		st.shards[i] = sh
 	}
 	for i, vc := range cfg.Videos {
 		sched, err := core.New(core.Config{
@@ -314,10 +191,7 @@ func New(cfg Config) (*Station, error) {
 		if err != nil {
 			return nil, fmt.Errorf("station: video %d (%q): %w", i, vc.Name, err)
 		}
-		shardIdx := i % shards
-		st.videos[i] = &stationVideo{name: vc.Name, sched: sched, shard: shardIdx}
-		sh := st.shards[shardIdx]
-		sh.videos = append(sh.videos, i)
+		st.videos[i] = stationVideo{name: vc.Name, sched: sched}
 	}
 	return st, nil
 }
@@ -325,44 +199,8 @@ func New(cfg Config) (*Station, error) {
 // Videos reports the catalogue size.
 func (st *Station) Videos() int { return len(st.videos) }
 
-// Shards reports the number of worker shards.
-func (st *Station) Shards() int { return len(st.shards) }
-
-// ShardOf reports which shard owns the video.
-func (st *Station) ShardOf(video int) int { return st.videos[video].shard }
-
 // Name reports the video's configured label.
 func (st *Station) Name(video int) string { return st.videos[video].name }
-
-// FanoutSpans partitions the catalogue's video index range [0, Videos())
-// into at most n contiguous near-equal half-open spans — the work
-// assignment hint for a parallel fan-out walking the clock's per-slot
-// reports, which are indexed by video. Contiguity is what matters for the
-// consumer: each span worker touches a dense range of the report slice and
-// of the caller's parallel video array, never interleaving cache lines
-// with its neighbours. Spans differ in length by at most one video; fewer
-// than n spans come back when the catalogue is smaller than n.
-func (st *Station) FanoutSpans(n int) [][2]int {
-	videos := len(st.videos)
-	if n > videos {
-		n = videos
-	}
-	if n < 1 {
-		n = 1
-	}
-	spans := make([][2]int, n)
-	base, rem := videos/n, videos%n
-	lo := 0
-	for i := range spans {
-		size := base
-		if i < rem {
-			size++
-		}
-		spans[i] = [2]int{lo, lo + size}
-		lo += size
-	}
-	return spans
-}
 
 // Periods returns a copy of the video's resolved 1-based period vector
 // (CBR defaults applied).
@@ -383,39 +221,21 @@ func (st *Station) checkVideo(video int) error {
 	return nil
 }
 
-// Admit synchronously admits one request for the video under its shard's
-// lock, flushing any batched admissions first so arrival order is
-// preserved. Admissions for videos on different shards run in parallel.
+// Admit synchronously admits one request for the video under the station
+// lock.
 //
 // When opts.WantAssignment is set without a caller-supplied
-// opts.Assignment buffer, the returned assignment aliases a per-shard
-// scratch buffer that the shard's next assignment-carrying admission
-// overwrites: callers that retain it must copy it out, or pass their own
+// opts.Assignment buffer, the returned assignment aliases a station-owned
+// scratch buffer that the next assignment-carrying admission overwrites:
+// callers that retain it must copy it out, or pass their own
 // AdmitOptions.Assignment.
 func (st *Station) Admit(video int, opts core.AdmitOptions) (core.AdmitResult, error) {
-	return st.admitBatch(video, 1, opts)
-}
-
-// AdmitBatch synchronously admits count identical requests for the video —
-// the coalesced form of a same-slot duplicate burst — under one shard lock
-// acquisition and one scheduler call: the first request runs the full
-// placement loop and, uncapped and unobserved, each later one is an O(1)
-// same-slot memo hit. The result carries the batch's total Placed and (when
-// requested) the final request's assignment, under the same scratch-buffer
-// aliasing rule as Admit. A non-positive count is rejected with
-// core.ErrBadBatchCount.
-func (st *Station) AdmitBatch(video, count int, opts core.AdmitOptions) (core.AdmitResult, error) {
-	return st.admitBatch(video, count, opts)
-}
-
-func (st *Station) admitBatch(video, count int, opts core.AdmitOptions) (core.AdmitResult, error) {
 	if st.closed.Load() {
 		return core.AdmitResult{}, ErrClosed
 	}
 	if err := st.checkVideo(video); err != nil {
 		return core.AdmitResult{}, err
 	}
-	sh := st.shards[st.videos[video].shard]
 	// The instrumented path brackets the lock acquisition and the
 	// scheduler service with clock reads; the disabled path pays one nil
 	// check and no clock.
@@ -423,136 +243,34 @@ func (st *Station) admitBatch(video, count int, opts core.AdmitOptions) (core.Ad
 	if st.obs != nil {
 		t0 = time.Now()
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	var tLocked time.Time
 	if st.obs != nil {
 		tLocked = time.Now()
 		st.obs.lockWait.observe(tLocked.Sub(t0).Seconds())
 	}
-	sh.flushLocked(st)
 	useScratch := opts.WantAssignment && opts.Assignment == nil
 	if useScratch {
-		opts.Assignment = sh.assign
+		opts.Assignment = st.assign
 	}
-	res, err := st.videos[video].sched.AdmitBatch(count, opts)
+	res, err := st.videos[video].sched.AdmitRequest(opts)
 	if st.obs != nil {
 		st.obs.admit.observe(time.Since(tLocked).Seconds())
 	}
 	if err != nil {
-		if sh.rejects != nil {
-			sh.rejects.Inc()
-		}
 		return core.AdmitResult{}, err
 	}
 	if useScratch {
-		// Keep the (possibly grown) buffer for the shard's next admission.
-		sh.assign = res.Assignment
-	}
-	if sh.admits != nil {
-		sh.admits.Add(float64(count))
+		// Keep the (possibly grown) buffer for the next admission.
+		st.assign = res.Assignment
 	}
 	return res, nil
 }
 
-// Enqueue appends one full-viewing-or-resume admission (from <= 1 means a
-// full viewing) to the video's shard queue and returns without waiting for
-// it to be applied. The batch flushes when it reaches FlushBatch requests
-// and always before the shard's next AdvanceSlot, so the request is
-// admitted in the slot it arrived in. A full queue rejects with
-// ErrOverloaded.
-func (st *Station) Enqueue(video, from int) error {
-	if st.closed.Load() {
-		return ErrClosed
-	}
-	if err := st.checkVideo(video); err != nil {
-		return err
-	}
-	sched := st.videos[video].sched
-	if from > sched.N() {
-		shd := st.shards[st.videos[video].shard]
-		if shd.rejects != nil {
-			shd.rejects.Inc()
-		}
-		return fmt.Errorf("%w: segment %d outside 1..%d", core.ErrBadResumePoint, from, sched.N())
-	}
-	if from < 1 {
-		from = 1
-	}
-	sh := st.shards[st.videos[video].shard]
-	var t0 time.Time
-	if st.obs != nil {
-		t0 = time.Now()
-	}
-	sh.mu.Lock()
-	if st.obs != nil {
-		st.obs.lockWait.observe(time.Since(t0).Seconds())
-	}
-	if len(sh.pending) >= st.queueCap {
-		sh.mu.Unlock()
-		if sh.rejects != nil {
-			sh.rejects.Inc()
-		}
-		return fmt.Errorf("%w: shard %d at depth %d", ErrOverloaded, st.videos[video].shard, st.queueCap)
-	}
-	if st.obs != nil {
-		sh.enqTimes = append(sh.enqTimes, time.Now())
-	}
-	sh.pending = append(sh.pending, pendingReq{video: video, from: from})
-	if len(sh.pending) >= st.flushBatch {
-		sh.flushLocked(st)
-	} else if sh.queueDepth != nil {
-		sh.queueDepth.Set(float64(len(sh.pending)))
-	}
-	sh.mu.Unlock()
-	return nil
-}
-
-// flushLocked applies the shard's pending admissions in arrival order,
-// coalescing runs of identical (video, from) requests — the common shape of
-// a same-slot flash crowd — into single scheduler batch calls. The caller
-// holds sh.mu. Requests were validated at Enqueue, so admission cannot
-// fail.
-func (sh *shard) flushLocked(st *Station) {
-	if len(sh.pending) == 0 {
-		return
-	}
-	if st.obs != nil {
-		// One clock read covers the whole batch: each request's enqueue
-		// wait is measured against the flush instant, and the pre-flush
-		// depth is the sampled queue-depth observation.
-		now := time.Now()
-		st.obs.queueDepth.observe(float64(len(sh.pending)))
-		for _, enq := range sh.enqTimes {
-			st.obs.enqueueWait.observe(now.Sub(enq).Seconds())
-		}
-		sh.enqTimes = sh.enqTimes[:0]
-	}
-	for start := 0; start < len(sh.pending); {
-		r := sh.pending[start]
-		end := start + 1
-		for end < len(sh.pending) && sh.pending[end] == r {
-			end++
-		}
-		// The error is impossible: from was validated against the segment
-		// count at Enqueue and the run length is positive.
-		_, _ = st.videos[r.video].sched.AdmitBatch(end-start, core.AdmitOptions{From: r.from})
-		start = end
-	}
-	if sh.admits != nil {
-		sh.admits.Add(float64(len(sh.pending)))
-	}
-	sh.pending = sh.pending[:0]
-	if sh.queueDepth != nil {
-		sh.queueDepth.Set(0)
-	}
-}
-
 // AdvanceSlot finishes the current slot of every video and returns the
-// retired slot reports, indexed by video. Each shard flushes its pending
-// admissions first (they arrived during the finishing slot) and shards
-// advance in parallel. The returned slice is owned by the caller;
-// steady-state drivers reuse one via AdvanceSlotInto.
+// retired slot reports, indexed by video. The returned slice is owned by
+// the caller; steady-state drivers reuse one via AdvanceSlotInto.
 func (st *Station) AdvanceSlot() []core.SlotReport {
 	return st.AdvanceSlotInto(nil)
 }
@@ -567,70 +285,34 @@ func (st *Station) AdvanceSlotInto(dst []core.SlotReport) []core.SlotReport {
 		dst = make([]core.SlotReport, len(st.videos))
 	}
 	dst = dst[:len(st.videos)]
-	if len(st.shards) == 1 {
-		st.advanceShard(0, dst)
-		return dst
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for v := range st.videos {
+		dst[v] = st.videos[v].sched.AdvanceSlot()
 	}
-	// The parallel fan-out lives in a helper so its goroutine closures
-	// never capture dst: a captured-and-reassigned slice header would be
-	// forced onto the heap, costing the single-shard fast path above one
-	// allocation per tick.
-	st.advanceParallel(dst)
 	return dst
-}
-
-// advanceParallel flushes and advances every shard concurrently.
-func (st *Station) advanceParallel(reports []core.SlotReport) {
-	var wg sync.WaitGroup
-	for i := range st.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// The pprof label makes shard workers attributable in CPU
-			// profiles: /debug/pprof/profile breaks slot-advance time down
-			// by station_shard.
-			pprof.Do(context.Background(), pprof.Labels("station_shard", strconv.Itoa(i)),
-				func(context.Context) { st.advanceShard(i, reports) })
-		}(i)
-	}
-	wg.Wait()
-}
-
-// advanceShard flushes and advances one shard. Shards own disjoint video
-// index sets, so concurrent writes into reports never alias.
-func (st *Station) advanceShard(i int, reports []core.SlotReport) {
-	sh := st.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.flushLocked(st)
-	for _, v := range sh.videos {
-		reports[v] = st.videos[v].sched.AdvanceSlot()
-	}
 }
 
 // CurrentSlot reports the video's current transmission slot.
 func (st *Station) CurrentSlot(video int) int {
-	sh := st.shards[st.videos[video].shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	return st.videos[video].sched.CurrentSlot()
 }
 
 // NextLoads fills dst (grown as needed) with each video's scheduled
 // instance count for its next transmission slot — the quantity admission
-// control gates on — taking each shard's lock once. It returns dst.
+// control gates on — under one lock acquisition. It returns dst.
 func (st *Station) NextLoads(dst []int) []int {
 	if cap(dst) < len(st.videos) {
 		dst = make([]int, len(st.videos))
 	}
 	dst = dst[:len(st.videos)]
-	for _, sh := range st.shards {
-		sh.mu.Lock()
-		for _, v := range sh.videos {
-			sched := st.videos[v].sched
-			dst[v] = sched.LoadAt(sched.CurrentSlot() + 1)
-		}
-		sh.mu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for v := range st.videos {
+		sched := st.videos[v].sched
+		dst[v] = sched.LoadAt(sched.CurrentSlot() + 1)
 	}
 	return dst
 }
@@ -638,9 +320,8 @@ func (st *Station) NextLoads(dst []int) []int {
 // VideoTotals reports the video's admitted request and scheduled instance
 // counts.
 func (st *Station) VideoTotals(video int) (requests, instances int64) {
-	sh := st.shards[st.videos[video].shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	sched := st.videos[video].sched
 	return sched.Requests(), sched.Instances()
 }
@@ -648,28 +329,19 @@ func (st *Station) VideoTotals(video int) (requests, instances int64) {
 // Totals reports the station-wide admitted request and scheduled instance
 // counts.
 func (st *Station) Totals() (requests, instances int64) {
-	for _, sh := range st.shards {
-		sh.mu.Lock()
-		for _, v := range sh.videos {
-			sched := st.videos[v].sched
-			requests += sched.Requests()
-			instances += sched.Instances()
-		}
-		sh.mu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for v := range st.videos {
+		sched := st.videos[v].sched
+		requests += sched.Requests()
+		instances += sched.Instances()
 	}
 	return requests, instances
 }
 
-// Pending reports how many admissions are batched in the shard's queue.
-func (st *Station) Pending(shard int) int {
-	sh := st.shards[shard]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return len(sh.pending)
-}
-
-// StartClock launches the single clock goroutine: every interval it fans an
-// AdvanceSlot tick out to all shards and, when onTick is non-nil, hands the
+// StartClock launches the single clock goroutine: every interval it retires
+// one slot of every video (AdvanceSlotInto) and, when onTick is non-nil,
+// hands the
 // slot reports to onTick (on the clock goroutine; onTick must not call
 // StopClock or Close). The reports slice is borrowed for the duration of
 // the callback — the clock reuses its backing array on the next tick — so
@@ -747,26 +419,12 @@ func (st *Station) StopClock() {
 	st.clockInterval.Store(0)
 }
 
-// ShardStatus is one row of the /statusz (and vodtop) shard table.
-type ShardStatus struct {
-	// Shard is the worker index; Videos the catalogue entries it owns.
-	Shard  int `json:"shard"`
-	Videos int `json:"videos"`
-	// Pending is the live batched-queue depth; QueueCap its bound.
-	Pending  int `json:"pending"`
-	QueueCap int `json:"queue_cap"`
-	// Admits and Rejects mirror the shard's registry counters (zero when
-	// the station is uninstrumented).
-	Admits  float64 `json:"admits"`
-	Rejects float64 `json:"rejects"`
-}
-
 // ClockStatus describes the clock goroutine's health.
 type ClockStatus struct {
 	// Running reports an active clock; IntervalSeconds its slot duration.
 	Running         bool    `json:"running"`
 	IntervalSeconds float64 `json:"interval_seconds"`
-	// Ticks counts fanned-out slot ticks; LagSeconds is the last tick's
+	// Ticks counts retired slot ticks; LagSeconds is the last tick's
 	// lag behind schedule and DriftSlots the same lag in slot units.
 	Ticks      uint64  `json:"ticks"`
 	LagSeconds float64 `json:"lag_seconds"`
@@ -776,16 +434,14 @@ type ClockStatus struct {
 	Lag obs.WindowSnapshot `json:"lag"`
 }
 
-// VideoStatus is one catalogue row of the operator snapshot: which shard
-// owns the video, how far its schedule has advanced, and its admission
-// totals. The QoE pipeline joins client_miss_total{video} against these rows
-// by name.
+// VideoStatus is one catalogue row of the operator snapshot: how far the
+// video's schedule has advanced, and its admission totals. The QoE pipeline
+// joins client_miss_total{video} against these rows by name.
 type VideoStatus struct {
 	// Video is the station catalogue index; Name the configured name (the
 	// wire-facing video ID for vodserver catalogues).
 	Video int    `json:"video"`
 	Name  string `json:"name"`
-	Shard int    `json:"shard"`
 	// Slot is the video's current schedule slot; Requests and Instances are
 	// its lifetime admission and transmission totals.
 	Slot      int   `json:"slot"`
@@ -793,17 +449,14 @@ type VideoStatus struct {
 	Instances int64 `json:"instances"`
 }
 
-// Status is one consistent snapshot of the station for operators: the shard
-// table, the per-video rows, the per-stage rolling latency windows, and
-// clock health.
+// Status is one consistent snapshot of the station for operators: the
+// per-video rows, the per-stage rolling latency windows, and clock health.
 type Status struct {
-	Videos int           `json:"videos"`
-	Shards []ShardStatus `json:"shards"`
+	Videos int `json:"videos"`
 	// PerVideo lists every catalogue video; rows are in catalogue order.
 	PerVideo []VideoStatus `json:"per_video"`
-	// Stages maps the Stage* names to their rolling windows (empty when
-	// the station is uninstrumented). Latency stages are in seconds;
-	// StageQueueDepth is in requests.
+	// Stages maps the Stage* names to their rolling windows in seconds
+	// (empty when the station is uninstrumented).
 	Stages map[string]obs.WindowSnapshot `json:"stages,omitempty"`
 	Clock  ClockStatus                   `json:"clock"`
 	// Requests and Instances are the station-wide admission totals.
@@ -811,37 +464,26 @@ type Status struct {
 	Instances int64 `json:"instances"`
 }
 
-// Status assembles the operator snapshot behind /statusz. It takes each
-// shard lock once (like Totals) and never blocks the clock beyond one shard
-// advance.
+// Status assembles the operator snapshot behind /statusz under one lock
+// acquisition.
 func (st *Station) Status() Status {
 	s := Status{
 		Videos:   len(st.videos),
-		Shards:   make([]ShardStatus, len(st.shards)),
 		PerVideo: make([]VideoStatus, len(st.videos)),
 	}
-	for i, sh := range st.shards {
-		row := ShardStatus{Shard: i, Videos: len(sh.videos), QueueCap: st.queueCap}
-		sh.mu.Lock()
-		row.Pending = len(sh.pending)
-		for _, v := range sh.videos {
-			sv := st.videos[v]
-			s.Requests += sv.sched.Requests()
-			s.Instances += sv.sched.Instances()
-			s.PerVideo[v] = VideoStatus{
-				Video: v, Name: sv.name, Shard: i,
-				Slot:      sv.sched.CurrentSlot(),
-				Requests:  sv.sched.Requests(),
-				Instances: sv.sched.Instances(),
-			}
+	st.mu.Lock()
+	for v, sv := range st.videos {
+		row := VideoStatus{
+			Video: v, Name: sv.name,
+			Slot:      sv.sched.CurrentSlot(),
+			Requests:  sv.sched.Requests(),
+			Instances: sv.sched.Instances(),
 		}
-		sh.mu.Unlock()
-		if sh.admits != nil {
-			row.Admits = sh.admits.Value()
-			row.Rejects = sh.rejects.Value()
-		}
-		s.Shards[i] = row
+		s.Requests += row.Requests
+		s.Instances += row.Instances
+		s.PerVideo[v] = row
 	}
+	st.mu.Unlock()
 	interval := time.Duration(st.clockInterval.Load())
 	s.Clock = ClockStatus{
 		Running:         interval > 0,
@@ -854,18 +496,16 @@ func (st *Station) Status() Status {
 	}
 	if st.obs != nil {
 		s.Stages = map[string]obs.WindowSnapshot{
-			StageEnqueueWait: st.obs.enqueueWait.win.Snapshot(),
-			StageLockWait:    st.obs.lockWait.win.Snapshot(),
-			StageAdmit:       st.obs.admit.win.Snapshot(),
-			StageQueueDepth:  st.obs.queueDepth.win.Snapshot(),
+			StageLockWait: st.obs.lockWait.win.Snapshot(),
+			StageAdmit:    st.obs.admit.win.Snapshot(),
 		}
 		s.Clock.Lag = st.obs.clockWin.Snapshot()
 	}
 	return s
 }
 
-// Close stops the clock and marks the station closed: subsequent Admit and
-// Enqueue calls fail with ErrClosed. It is safe to call more than once.
+// Close stops the clock and marks the station closed: subsequent Admit
+// calls fail with ErrClosed. It is safe to call more than once.
 func (st *Station) Close() {
 	st.closed.Store(true)
 	st.StopClock()

@@ -3,6 +3,7 @@ package station
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -31,9 +32,6 @@ func TestNewSentinelErrors(t *testing.T) {
 		want error
 	}{
 		{"empty catalogue", Config{}, ErrEmptyCatalogue},
-		{"negative shards", Config{Videos: testCatalogue(1, 4), Shards: -1}, ErrBadShards},
-		{"negative queue", Config{Videos: testCatalogue(1, 4), QueueDepth: -1}, ErrBadQueueDepth},
-		{"negative batch", Config{Videos: testCatalogue(1, 4), FlushBatch: -1}, ErrBadFlushBatch},
 		{"bad video", Config{Videos: []VideoConfig{{Segments: -2}}}, core.ErrBadSegmentCount},
 	}
 	for _, tt := range tests {
@@ -43,68 +41,6 @@ func TestNewSentinelErrors(t *testing.T) {
 				t.Fatalf("New err = %v, want %v", err, tt.want)
 			}
 		})
-	}
-}
-
-// TestShardAssignment: shards default to at most the catalogue size and
-// videos are spread round-robin.
-func TestShardAssignment(t *testing.T) {
-	st, err := New(Config{Videos: testCatalogue(5, 8), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Shards() != 2 || st.Videos() != 5 {
-		t.Fatalf("got %d shards, %d videos", st.Shards(), st.Videos())
-	}
-	for v := 0; v < 5; v++ {
-		if got := st.ShardOf(v); got != v%2 {
-			t.Fatalf("video %d on shard %d, want %d", v, got, v%2)
-		}
-	}
-	// More shards than videos collapses to one shard per video.
-	st2, err := New(Config{Videos: testCatalogue(3, 8), Shards: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Shards() != 3 {
-		t.Fatalf("got %d shards for 3 videos", st2.Shards())
-	}
-}
-
-// TestFanoutSpans: the fan-out partition hint tiles the whole catalogue
-// with contiguous, non-overlapping, near-equal spans for every worker
-// count, including degenerate ones.
-func TestFanoutSpans(t *testing.T) {
-	st, err := New(Config{Videos: testCatalogue(7, 8)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{-1, 0, 1, 2, 3, 7, 16} {
-		spans := st.FanoutSpans(n)
-		want := n
-		if want > 7 {
-			want = 7
-		}
-		if want < 1 {
-			want = 1
-		}
-		if len(spans) != want {
-			t.Fatalf("FanoutSpans(%d) returned %d spans, want %d", n, len(spans), want)
-		}
-		lo := 0
-		for i, sp := range spans {
-			if sp[0] != lo {
-				t.Fatalf("FanoutSpans(%d) span %d starts at %d, want %d (gap or overlap)", n, i, sp[0], lo)
-			}
-			size := sp[1] - sp[0]
-			if size < 7/want || size > 7/want+1 {
-				t.Fatalf("FanoutSpans(%d) span %d has %d videos, want near-equal %d..%d", n, i, size, 7/want, 7/want+1)
-			}
-			lo = sp[1]
-		}
-		if lo != 7 {
-			t.Fatalf("FanoutSpans(%d) covers [0, %d), want the full catalogue [0, 7)", n, lo)
-		}
 	}
 }
 
@@ -124,101 +60,14 @@ func TestAdmitValidation(t *testing.T) {
 	if _, err := st.Admit(0, core.AdmitOptions{From: 99}); !errors.Is(err, core.ErrBadResumePoint) {
 		t.Fatalf("admit bad resume: %v", err)
 	}
-	if err := st.Enqueue(3, 1); !errors.Is(err, ErrUnknownVideo) {
-		t.Fatalf("enqueue unknown video: %v", err)
-	}
-	if err := st.Enqueue(0, 99); !errors.Is(err, core.ErrBadResumePoint) {
-		t.Fatalf("enqueue bad resume: %v", err)
-	}
 	if req, inst := st.Totals(); req != 0 || inst != 0 {
 		t.Fatalf("rejections mutated the engine: %d requests, %d instances", req, inst)
 	}
 }
 
-// TestEnqueueFlushesBeforeAdvance: a request enqueued during slot i is
-// admitted in slot i — the batch is applied before the slot retires — so
-// batching never changes DHB semantics.
-func TestEnqueueFlushesBeforeAdvance(t *testing.T) {
-	st, err := New(Config{Videos: testCatalogue(1, 6), FlushBatch: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := core.New(core.Config{Segments: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for slot := 0; slot < 20; slot++ {
-		if err := st.Enqueue(0, 0); err != nil {
-			t.Fatal(err)
-		}
-		ref.AdmitRequest(core.AdmitOptions{})
-		if got := st.Pending(0); got != 1 {
-			t.Fatalf("slot %d: pending = %d before advance", slot, got)
-		}
-		rep, want := st.AdvanceSlot()[0], ref.AdvanceSlot()
-		if rep.Slot != want.Slot || rep.Load != want.Load {
-			t.Fatalf("slot %d: station %+v, reference %+v", slot, rep, want)
-		}
-	}
-	req, inst := st.VideoTotals(0)
-	if req != ref.Requests() || inst != ref.Instances() {
-		t.Fatalf("totals (%d,%d) diverged from reference (%d,%d)",
-			req, inst, ref.Requests(), ref.Instances())
-	}
-}
-
-// TestEnqueueOverload: a full shard queue sheds with ErrOverloaded instead
-// of blocking, and recovers after the next flush.
-func TestEnqueueOverload(t *testing.T) {
-	st, err := New(Config{Videos: testCatalogue(1, 4), QueueDepth: 3, FlushBatch: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := st.Enqueue(0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Enqueue(0, 0); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("enqueue on full queue: %v", err)
-	}
-	st.AdvanceSlot() // flushes
-	if err := st.Enqueue(0, 0); err != nil {
-		t.Fatalf("enqueue after flush: %v", err)
-	}
-	if req, _ := st.Totals(); req != 3 {
-		t.Fatalf("admitted %d requests, want 3 (the shed request must not count)", req)
-	}
-}
-
-// TestFlushBatchTriggers: the pending queue self-flushes at FlushBatch.
-func TestFlushBatchTriggers(t *testing.T) {
-	st, err := New(Config{Videos: testCatalogue(1, 4), FlushBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := st.Enqueue(0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := st.Pending(0); got != 3 {
-		t.Fatalf("pending = %d, want 3", got)
-	}
-	if err := st.Enqueue(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Pending(0); got != 0 {
-		t.Fatalf("pending = %d after reaching the batch size, want 0", got)
-	}
-	if req, _ := st.Totals(); req != 4 {
-		t.Fatalf("admitted %d requests, want 4", req)
-	}
-}
-
 // TestConcurrentEquivalence is the load-bearing correctness test of the
-// sharded engine: a station serving K videos with admissions issued from
-// many goroutines at once must produce, video for video and slot for slot,
+// engine: a station serving K videos with admissions issued from many
+// goroutines at once, racing each other for the station lock, must produce, video for video and slot for slot,
 // exactly the schedule K independent single-threaded schedulers produce for
 // the same per-slot arrival counts. Within a slot all admissions for one
 // video are identical operations, so the end state depends only on the
@@ -226,7 +75,6 @@ func TestFlushBatchTriggers(t *testing.T) {
 func TestConcurrentEquivalence(t *testing.T) {
 	const (
 		videos  = 7
-		shards  = 3
 		slots   = 60
 		maxRate = 5 // max arrivals per video per slot
 	)
@@ -256,34 +104,25 @@ func TestConcurrentEquivalence(t *testing.T) {
 	for v := range cat {
 		cat[v] = VideoConfig{Segments: segs[v]}
 	}
-	st, err := New(Config{Videos: cat, Shards: shards, FlushBatch: 2})
+	st, err := New(Config{Videos: cat})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for s := 0; s < slots; s++ {
-		// Concurrent admissions: one goroutine per video, racing against
-		// each other across shards; a random half go through the batched
-		// Enqueue path.
+		// Concurrent admissions: one goroutine per arrival, every one racing
+		// the others for the station lock.
 		var wg sync.WaitGroup
 		for v := 0; v < videos; v++ {
-			wg.Add(1)
-			go func(v, count int, batched bool) {
-				defer wg.Done()
-				for a := 0; a < count; a++ {
-					if batched {
-						if err := st.Enqueue(v, 0); err != nil {
-							t.Error(err)
-							return
-						}
-						continue
-					}
+			for a := 0; a < arrivals[s][v]; a++ {
+				wg.Add(1)
+				go func(v int) {
+					defer wg.Done()
 					if _, err := st.Admit(v, core.AdmitOptions{}); err != nil {
 						t.Error(err)
-						return
 					}
-				}
-			}(v, arrivals[s][v], rng.Intn(2) == 0)
+				}(v)
+			}
 		}
 		wg.Wait()
 
@@ -313,14 +152,13 @@ func TestConcurrentEquivalence(t *testing.T) {
 }
 
 // TestStressAdmissionsRaceClock hammers a clock-driven station from many
-// goroutines — synchronous admissions, batched admissions, load probes —
+// goroutines — full and resumed admissions, load probes, status snapshots —
 // and checks the books balance afterwards. Run under -race this is the
 // engine's data-race certification.
 func TestStressAdmissionsRaceClock(t *testing.T) {
 	reg := obs.NewRegistry()
 	st, err := New(Config{
 		Videos:   testCatalogue(8, 25),
-		Shards:   4,
 		Registry: reg,
 	})
 	if err != nil {
@@ -340,7 +178,7 @@ func TestStressAdmissionsRaceClock(t *testing.T) {
 	}
 
 	const workers = 6
-	var admitted, shed int64
+	var admitted int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	deadline := time.Now().Add(50 * time.Millisecond)
@@ -350,7 +188,7 @@ func TestStressAdmissionsRaceClock(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			var loads []int
-			localAdmitted, localShed := int64(0), int64(0)
+			localAdmitted := int64(0)
 			for time.Now().Before(deadline) {
 				v := rng.Intn(8)
 				switch rng.Intn(3) {
@@ -362,23 +200,20 @@ func TestStressAdmissionsRaceClock(t *testing.T) {
 						return
 					}
 				case 1:
-					switch err := st.Enqueue(v, 0); {
-					case err == nil:
+					if _, err := st.Admit(v, core.AdmitOptions{WantAssignment: true}); err == nil {
 						localAdmitted++
-					case errors.Is(err, ErrOverloaded):
-						localShed++
-					default:
+					} else {
 						t.Error(err)
 						return
 					}
 				default:
 					loads = st.NextLoads(loads)
 					_ = st.CurrentSlot(v)
+					_ = st.Status()
 				}
 			}
 			mu.Lock()
 			admitted += localAdmitted
-			shed += localShed
 			mu.Unlock()
 		}(w)
 	}
@@ -390,26 +225,19 @@ func TestStressAdmissionsRaceClock(t *testing.T) {
 	if _, err := st.Admit(0, core.AdmitOptions{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("admit after close: %v", err)
 	}
-	if err := st.Enqueue(0, 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("enqueue after close: %v", err)
-	}
-	// Everything accepted was admitted exactly once (enqueued work flushed
-	// at the latest by Close's final state; flush any stragglers by
-	// advancing once more through the shard locks).
-	st.AdvanceSlot()
+	// Everything accepted was admitted exactly once.
 	req, _ := st.Totals()
 	if req != admitted {
-		t.Fatalf("admitted %d requests, engine recorded %d (shed %d)", admitted, req, shed)
+		t.Fatalf("admitted %d requests, engine recorded %d", admitted, req)
 	}
-	// Per-shard metrics exist for every shard.
+	// Every admission reached the admit stage histogram.
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	text := buf.String()
-	if !strings.Contains(text, `station_shard_admits_total{shard="0"}`) ||
-		!strings.Contains(text, `station_shard_admits_total{shard="3"}`) {
-		t.Fatalf("per-shard metrics missing:\n%s", text)
+	want := fmt.Sprintf(`station_stage_seconds_count{stage="admit"} %d`, admitted)
+	if text := buf.String(); !strings.Contains(text, want) {
+		t.Fatalf("admit stage histogram missing %q:\n%s", want, text)
 	}
 }
 
@@ -441,6 +269,115 @@ func TestPeriodsResolved(t *testing.T) {
 	for j := 1; j <= 5; j++ {
 		if p[j] != j {
 			t.Fatalf("period[%d] = %d, want %d", j, p[j], j)
+		}
+	}
+}
+
+// TestAdmitScratchAssignment: WantAssignment without a caller buffer is
+// served from the station scratch (no allocation in steady state, same
+// backing array across admissions); a caller-supplied buffer bypasses the
+// scratch.
+func TestAdmitScratchAssignment(t *testing.T) {
+	st, err := New(Config{Videos: testCatalogue(1, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := st.Admit(0, core.AdmitOptions{WantAssignment: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := st.Admit(0, core.AdmitOptions{WantAssignment: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.Assignment[0] != &b.Assignment[0] {
+		t.Fatal("scratch buffer was not reused across admissions")
+	}
+	own := make([]int, 11)
+	c, err := st.Admit(0, core.AdmitOptions{Assignment: own})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &c.Assignment[0] != &own[0] {
+		t.Fatal("caller-supplied buffer was not used")
+	}
+	if &c.Assignment[0] == &a.Assignment[0] {
+		t.Fatal("caller-supplied admission leaked into the scratch")
+	}
+}
+
+// TestStationSteadyStateZeroAlloc: the uninstrumented synchronous admit
+// path and the reusable-buffer slot advance allocate nothing per operation
+// in steady state.
+func TestStationSteadyStateZeroAlloc(t *testing.T) {
+	st, err := New(Config{Videos: testCatalogue(4, 50)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports []core.SlotReport
+	for k := 0; k < 100; k++ { // steady state; also warms the scratch
+		for v := 0; v < 4; v++ {
+			if _, err := st.Admit(v, core.AdmitOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Admit(v, core.AdmitOptions{WantAssignment: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reports = st.AdvanceSlotInto(reports)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		for v := 0; v < 4; v++ {
+			if _, err := st.Admit(v, core.AdmitOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Admit(v, core.AdmitOptions{WantAssignment: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reports = st.AdvanceSlotInto(reports)
+	}); allocs != 0 {
+		t.Fatalf("steady-state station path allocates %.1f/run, want 0", allocs)
+	}
+}
+
+// TestAdvanceSlotIntoMatchesAdvanceSlot: the reusable-buffer variant
+// produces the same reports and reslices correctly.
+func TestAdvanceSlotIntoMatchesAdvanceSlot(t *testing.T) {
+	st, err := New(Config{Videos: testCatalogue(3, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < 3; v++ {
+		if _, err := st.Admit(v, core.AdmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := make([]core.SlotReport, 1) // undersized: must be grown
+	dst = st.AdvanceSlotInto(dst)
+	if len(dst) != 3 {
+		t.Fatalf("reports length %d, want 3", len(dst))
+	}
+	for v := 0; v < 3; v++ {
+		// Slot-0 admissions are served starting at slot 1, so the retired
+		// slot 0 is empty.
+		if dst[v].Slot != 0 || dst[v].Load != 0 {
+			t.Fatalf("video %d retired %+v, want slot 0 load 0", v, dst[v])
+		}
+	}
+	// Oversized buffers are resliced down and every entry overwritten; the
+	// retired slot 1 carries each video's segment 1 (deadline T[1] = 1).
+	big := make([]core.SlotReport, 10)
+	for i := range big {
+		big[i] = core.SlotReport{Slot: -99, Load: -99}
+	}
+	big = st.AdvanceSlotInto(big)
+	if len(big) != 3 {
+		t.Fatalf("reports length %d, want 3", len(big))
+	}
+	for v := 0; v < 3; v++ {
+		if big[v].Slot != 1 || big[v].Load < 1 {
+			t.Fatalf("video %d stale report %+v, want slot 1 with load >= 1", v, big[v])
 		}
 	}
 }

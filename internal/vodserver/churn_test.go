@@ -15,16 +15,16 @@ import (
 	"vodcast/internal/wire"
 )
 
-// TestParallelTickChurn is the -race stress for the parallel broadcast
-// tick: with four fan-out workers walking the catalogue, three subscriber
-// populations churn concurrently — full fetches that end with a clean
+// TestTickChurn is the -race stress for the broadcast tick: while the
+// clock goroutine walks the catalogue, three subscriber populations churn
+// concurrently — full fetches that end with a clean
 // lastSlot retirement, clients that disconnect right after admission, and
 // slow subscribers on a heavy video that stop reading and must be cut
 // loose by a ring-full drop racing the tick. The assertions: every admit
 // is counted exactly once, at least one slow subscriber is dropped, the
 // subscriber set drains to zero, Stats() agrees with /metricsz, no frame
 // ref-count panic fires, and no goroutine outlives the server.
-func TestParallelTickChurn(t *testing.T) {
+func TestTickChurn(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s, err := Start(Config{
 		Addr: "127.0.0.1:0",
@@ -37,9 +37,8 @@ func TestParallelTickChurn(t *testing.T) {
 			{ID: 4, Segments: 8, SegmentBytes: 512},
 			{ID: 5, Segments: 8, SegmentBytes: 512},
 		},
-		SlotDuration:  2 * time.Millisecond,
-		FanoutWorkers: 4,
-		StatsAddr:     "127.0.0.1:0",
+		SlotDuration: 2 * time.Millisecond,
+		StatsAddr:    "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +96,7 @@ func TestParallelTickChurn(t *testing.T) {
 
 	// Class 3: two slow subscribers on the heavy video — admitted, then
 	// never read again, so TCP backpressure wedges their drain goroutines
-	// and the parallel tick must retire them with a ring-full Drop.
+	// and the tick must retire them with a ring-full Drop.
 	const slow = 2
 	slowConns := make([]net.Conn, 0, slow)
 	for c := 0; c < slow; c++ {
@@ -152,7 +151,7 @@ func TestParallelTickChurn(t *testing.T) {
 	}
 
 	// The same accounting must surface through the exposition endpoint —
-	// the per-worker tallies merge into the registry counters too. The drop
+	// the tick's tallies merge into the registry counters too. The drop
 	// counter is reason-labelled, so its scrape sums every child.
 	_, body := get(t, s, "/metricsz")
 	scrape := func(name string) int64 {
@@ -182,7 +181,7 @@ func TestParallelTickChurn(t *testing.T) {
 		t.Fatalf("Stats().Dropped = %d but /metricsz reports %d", st.Dropped, got)
 	}
 
-	// Close twice: worker pool, station clock and every ring wind down once.
+	// Close twice: station clock and every ring wind down once.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

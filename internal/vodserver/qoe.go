@@ -96,15 +96,19 @@ func (s *Server) armAlerts() error {
 	return nil
 }
 
+// armControlRead bounds the next control-frame read on conn — the
+// handshake request or the end-of-session report — to four slots, and never
+// less than a second, so a peer that goes quiet costs its goroutine and fd
+// only that long.
+func (s *Server) armControlRead(conn net.Conn) error {
+	return conn.SetReadDeadline(time.Now().Add(max(4*s.cfg.SlotDuration, time.Second)))
+}
+
 // readReport collects the end-of-session ClientReport a v2 subscriber owes.
 // The read is bounded: a client that never reports just times out and costs
 // nothing. Reports for the wrong video are discarded.
 func (s *Server) readReport(conn net.Conn, videoID uint32) {
-	timeout := 4 * s.cfg.SlotDuration
-	if timeout < time.Second {
-		timeout = time.Second
-	}
-	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+	if err := s.armControlRead(conn); err != nil {
 		return
 	}
 	msg, err := wire.ReadFrame(conn)

@@ -4,10 +4,10 @@
 // payloads of every broadcast instance to the subscribed set-top boxes.
 //
 // Scheduling is delegated to the internal/station engine: one DHB scheduler
-// per video, partitioned across worker shards, so admissions for different
-// videos proceed in parallel instead of serializing on the server's
-// subscription lock. The station's clock goroutine drives the slot grid and
-// hands each retired slot to the fan-out path.
+// per video behind the station's one lock, off the server's connection
+// lock. The station's clock goroutine drives the slot grid and, once per
+// tick, walks the catalogue inline to hand each retired slot to the fan-out
+// path.
 //
 // The data plane models broadcast channels: each scheduled instance is
 // produced (and counted) exactly once per slot and the encoded frames are
@@ -23,7 +23,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,18 +70,7 @@ type Config struct {
 	// SlotDuration is the real-time slot length (the paper's d, scaled
 	// down for testing).
 	SlotDuration time.Duration
-	// Shards is the station worker shard count; 0 selects the station
-	// default of min(GOMAXPROCS, len(Videos)).
-	Shards int
-	// FanoutWorkers sets the parallel broadcast tick's worker count: the
-	// catalogue is partitioned into that many contiguous spans
-	// (station.FanoutSpans), each walked by a persistent worker goroutine
-	// the clock wakes once per retired slot and joins before observing the
-	// tick. 0 selects min(GOMAXPROCS, len(Videos)); a resolved count of 1
-	// keeps the tick serial on the clock goroutine. Ignored when
-	// FanoutReference selects the retained channel path.
-	FanoutWorkers int
-	// SubscriberBuffer is the per-client queue of encoded slot batches; a
+	// SubscriberBuffer is the per-client ring of encoded slot frames; a
 	// client that falls further behind is disconnected so one slow STB
 	// cannot stall the broadcast. Zero selects a sensible default.
 	SubscriberBuffer int
@@ -142,12 +130,6 @@ type Config struct {
 	// only the wire frame is withheld, so subscribed clients miss the
 	// segment's deadline exactly as they would under packet loss.
 	DropInstance func(video uint32, segment, slot int) bool
-	// FanoutReference selects the retained channel-based fan-out (one
-	// encoded copy handed to per-subscriber channels) instead of the
-	// zero-copy shared-frame rings. It is the executable specification the
-	// differential tests and the BenchmarkFanOut A/B compare against;
-	// production servers leave it false.
-	FanoutReference bool
 	// HistoryInterval is the telemetry history scrape period — how often the
 	// registry is walked into the in-process time-series store behind
 	// /queryz. 0 selects 1s.
@@ -215,43 +197,22 @@ type video struct {
 	// updated to each retired slot's instance count.
 	load *obs.Gauge
 
-	// subs is the copy-on-write subscriber set: tick workers read lock-free
-	// snapshots, admit/disconnect/teardown mutate under the set's own small
-	// admin lock, and Set.Close doubles as the video's shutdown latch (Add
-	// refuses afterwards). Remove's exactly-one-winner contract is what
-	// makes every ring Drop/Close — and every batches-channel close —
-	// single-shot.
+	// subs is the copy-on-write subscriber set: the clock's tick reads
+	// lock-free snapshots, admit/disconnect/teardown mutate under the set's
+	// own small admin lock, and Set.Close doubles as the video's shutdown
+	// latch (Add refuses afterwards). Remove's exactly-one-winner contract
+	// is what makes every ring Drop/Close single-shot.
 	subs *fanout.Set[*subscriber]
-
-	// refMu serializes the reference path's channel sends against channel
-	// close: a batches channel is closed only under refMu, and
-	// fanOutReference holds it across the video's send loop, so the
-	// retained spec never sends on a closed channel. The zero-copy path
-	// never touches it — a ring Push racing a concurrent Drop/Close simply
-	// fails.
-	refMu sync.Mutex
-}
-
-// slotBatch is one slot's encoded broadcast on the reference path, tagged
-// with its slot so a subscriber admitted concurrently with the clock can
-// discard slots from before its admission.
-type slotBatch struct {
-	slot int
-	data []byte
 }
 
 type subscriber struct {
 	conn net.Conn
-	// ring queues shared frame references on the zero-copy path; the
-	// connection's handler drains it with vectored writes. nil when the
-	// server runs the reference fan-out.
+	// ring queues shared frame references; the connection's handler drains
+	// it with vectored writes.
 	ring *fanout.Ring
-	// batches carries one encoded batch per slot on the reference path;
-	// closed when the subscription ends. nil on the zero-copy path.
-	batches chan slotBatch
 	// lastSlot is the final slot this subscriber needs. It starts at
 	// math.MaxInt64 (registration precedes admission) and is stored once,
-	// after the admission reaches the scheduler; tick workers read it
+	// after the admission reaches the scheduler; the tick reads it
 	// lock-free.
 	lastSlot atomic.Int64
 	// admitted stamps the admission for the first-byte latency histogram.
@@ -287,23 +248,9 @@ func dropReason(sub *subscriber) int {
 	return int(sub.ct.State())
 }
 
-// fanoutTally accumulates one worker's per-tick broadcast accounting,
-// merged into the shared atomics and registry counters once per tick. The
-// pad keeps adjacent workers' tallies on separate cache lines so the hot
-// loop never false-shares.
-type fanoutTally struct {
-	instances int64
-	bytes     int64
-	// dropsBy counts dropped subscribers by attribution reason (last
-	// classified transport state, or untracked).
-	dropsBy  [numDropReasons]int64
-	maxDepth int64
-	_        [32]byte
-}
-
-// retireEntry queues a subscriber for detachment after a span walk: drop
-// marks the ring-full case (Drop the ring and count the disconnect); clean
-// expiry Closes the ring so the tail drains.
+// retireEntry queues a subscriber for detachment after a video's push loop:
+// drop marks the ring-full case (Drop the ring, expire the connection and
+// count the disconnect); clean expiry Closes the ring so the tail drains.
 type retireEntry struct {
 	sub  *subscriber
 	drop bool
@@ -368,10 +315,8 @@ type Server struct {
 	ct *conntrack.Sampler
 
 	// enc is the zero-copy slot encoder (pre-generated payloads, pooled
-	// ref-counted frames); ref is the retained allocating path, built
-	// instead when cfg.FanoutReference is set.
+	// ref-counted frames).
 	enc *fanout.Encoder
-	ref *fanout.Reference
 
 	// videos is immutable after Start; per-subscriber state lives in each
 	// video's copy-on-write set so the server-wide lock never sits on the
@@ -382,23 +327,13 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	closed atomic.Bool
 
-	// vlist is the catalogue in station index order — the array the
-	// parallel tick partitions into contiguous worker spans.
+	// vlist is the catalogue in station index order, the order the tick
+	// walks it in.
 	vlist []*video
-	// workers is the persistent fan-out pool; nil when the tick is serial
-	// (FanoutWorkers resolved to 1, or the reference path is selected).
-	// tickReports hands the clock's retired-slot reports to the workers for
-	// the duration of one Tick; the pool's wake/join edges order the
-	// accesses.
-	workers     *fanout.Workers
-	tickReports []core.SlotReport
-	// tallies are the per-worker broadcast counters; retire is each
-	// worker's reusable retirement scratch (expired and ring-full
-	// subscribers collected during the span walk, detached after it, off
-	// the hot push loop). Both are sized to the resolved worker count and
-	// indexed by worker — never shared between spans.
-	tallies []fanoutTally
-	retire  [][]retireEntry
+	// retire is the tick's reusable retirement scratch: expired and
+	// ring-full subscribers collected during a video's push loop, detached
+	// after it. Only the clock goroutine touches it.
+	retire []retireEntry
 
 	statRequests       atomic.Int64
 	statBroadcastBytes atomic.Int64
@@ -426,9 +361,6 @@ func Start(cfg Config) (*Server, error) {
 	if cfg.SpanSampleEvery < 0 {
 		return nil, fmt.Errorf("vodserver: span sample period %d must be non-negative", cfg.SpanSampleEvery)
 	}
-	if cfg.FanoutWorkers < 0 {
-		return nil, fmt.Errorf("vodserver: fan-out worker count %d must be non-negative", cfg.FanoutWorkers)
-	}
 	if cfg.SpanSampleEvery == 0 {
 		cfg.SpanSampleEvery = DefaultSpanSampleEvery
 	}
@@ -447,13 +379,7 @@ func Start(cfg Config) (*Server, error) {
 	tracer := obs.NewTracer(cfg.TraceWriter, cfg.TraceEvents)
 	videos := make(map[uint32]*video, len(cfg.Videos))
 	stationVideos := make([]station.VideoConfig, len(cfg.Videos))
-	var enc *fanout.Encoder
-	var ref *fanout.Reference
-	if cfg.FanoutReference {
-		ref = fanout.NewFanoutReference()
-	} else {
-		enc = fanout.NewEncoder()
-	}
+	enc := fanout.NewEncoder()
 	for i, vc := range cfg.Videos {
 		if len(vc.SegmentSizes) == 0 && vc.SegmentBytes <= 0 {
 			return nil, fmt.Errorf("vodserver: video %d: segment bytes %d must be positive", vc.ID, vc.SegmentBytes)
@@ -479,13 +405,7 @@ func Start(cfg Config) (*Server, error) {
 		for j := 1; j <= vc.Segments; j++ {
 			sizes[j-1] = vc.sizeOf(j)
 		}
-		var err error
-		if cfg.FanoutReference {
-			err = ref.AddVideo(vc.ID, sizes)
-		} else {
-			err = enc.AddVideo(vc.ID, sizes)
-		}
-		if err != nil {
+		if err := enc.AddVideo(vc.ID, sizes); err != nil {
 			return nil, fmt.Errorf("vodserver: %w", err)
 		}
 		stationVideos[i] = station.VideoConfig{
@@ -506,7 +426,6 @@ func Start(cfg Config) (*Server, error) {
 	}
 	st, err := station.New(station.Config{
 		Videos:   stationVideos,
-		Shards:   cfg.Shards,
 		Registry: reg,
 	})
 	if err != nil {
@@ -559,7 +478,6 @@ func Start(cfg Config) (*Server, error) {
 			"Client-reported per-report mean slack to the delivery deadline, in slots.",
 			clientSlackBuckets),
 		enc:    enc,
-		ref:    ref,
 		videos: videos,
 		conns:  make(map[net.Conn]struct{}),
 	}
@@ -567,22 +485,6 @@ func Start(cfg Config) (*Server, error) {
 	for _, v := range videos {
 		s.vlist[v.idx] = v
 	}
-	// Resolve the fan-out worker count and build the persistent pool. A
-	// resolved count of 1 (the default on a single-core host, or a
-	// one-video catalogue) keeps the tick inline on the clock goroutine —
-	// same code path, span [0, len(vlist)).
-	nw := cfg.FanoutWorkers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	if nw > len(cfg.Videos) {
-		nw = len(cfg.Videos)
-	}
-	if cfg.FanoutReference {
-		nw = 1
-	}
-	s.tallies = make([]fanoutTally, nw)
-	s.retire = make([][]retireEntry, nw)
 	// Pre-register every reason child of the drop counter so the exposition
 	// inventory (and the metric-name lint walking it) is complete from boot,
 	// not from the first drop.
@@ -598,10 +500,6 @@ func Start(cfg Config) (*Server, error) {
 			Interval: cfg.ConntrackInterval,
 			Registry: reg,
 		})
-	}
-	if err := s.armAlerts(); err != nil {
-		ln.Close()
-		return nil, fmt.Errorf("vodserver: %w", err)
 	}
 	reg.GaugeFunc("vod_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.started).Seconds() })
@@ -634,11 +532,28 @@ func Start(cfg Config) (*Server, error) {
 			MaxBytes: cfg.HistoryMaxBytes,
 		})
 	}
-	if cfg.FlightDir != "" {
+	// From here on the server owns goroutines and listeners, so every
+	// failure tears the partial server down through Close.
+	if err := s.launch(); err != nil {
+		s.Close()
+		return nil, fmt.Errorf("vodserver: %w", err)
+	}
+	return s, nil
+}
+
+// launch arms the alert engine and the flight recorder, starts the
+// background samplers and the monitoring endpoint, then begins accepting
+// and starts the slot clock. Start tears the partial server down through
+// Close when it fails.
+func (s *Server) launch() error {
+	if err := s.armAlerts(); err != nil {
+		return err
+	}
+	if s.cfg.FlightDir != "" {
 		recCfg := history.RecorderConfig{
-			Dir:      cfg.FlightDir,
-			Cooldown: cfg.FlightCooldown,
-			Keep:     cfg.FlightKeep,
+			Dir:      s.cfg.FlightDir,
+			Cooldown: s.cfg.FlightCooldown,
+			Keep:     s.cfg.FlightKeep,
 			Store:    s.history,
 			Status: func() ([]byte, error) {
 				return json.MarshalIndent(s.Status(), "", "  ")
@@ -653,8 +568,7 @@ func Start(cfg Config) (*Server, error) {
 		}
 		rec, err := history.NewRecorder(recCfg)
 		if err != nil {
-			ln.Close()
-			return nil, fmt.Errorf("vodserver: %w", err)
+			return err
 		}
 		s.recorder = rec
 		// Capture synchronously on the evaluating goroutine the moment any
@@ -668,27 +582,16 @@ func Start(cfg Config) (*Server, error) {
 	}
 	s.history.Start()
 	s.ct.Start()
-	if cfg.StatsAddr != "" {
-		statsLn, err := s.serveStats(cfg.StatsAddr)
+	if s.cfg.StatsAddr != "" {
+		statsLn, err := s.serveStats(s.cfg.StatsAddr)
 		if err != nil {
-			ln.Close()
-			s.wg.Wait()
-			return nil, err
+			return err
 		}
 		s.statsLn = statsLn
 	}
-	// The pool is built last so every earlier error return leaks no worker
-	// goroutines; from here on Close tears it down.
-	if nw > 1 {
-		s.workers = fanout.NewWorkers(st.FanoutSpans(nw), s.fanOutSpan)
-	}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	if err := st.StartClock(cfg.SlotDuration, s.fanOut); err != nil {
-		s.Close()
-		return nil, fmt.Errorf("vodserver: %w", err)
-	}
-	return s, nil
+	return s.station.StartClock(s.cfg.SlotDuration, s.fanOut)
 }
 
 // StatsAddr reports the bound monitoring address, or "" when disabled.
@@ -719,8 +622,8 @@ type StatusSnapshot struct {
 	// Stats are the server counters (requests, instances, bytes,
 	// subscribers, drops).
 	Stats Stats `json:"stats"`
-	// Station is the engine snapshot: shard table, stage latency windows,
-	// clock health.
+	// Station is the engine snapshot: per-video rows, stage latency
+	// windows, clock health.
 	Station station.Status `json:"station"`
 	// FirstByte is the rolling admit-to-first-byte latency window with the
 	// SLO burn accounting armed on it; Fanout is the per-tick fan-out
@@ -819,7 +722,7 @@ func (s *Server) FlightRecord(reason string) (string, error) {
 	return s.recorder.Force(reason)
 }
 
-// Station exposes the broadcast engine (shard layout, per-video slots).
+// Station exposes the broadcast engine (per-video slots and totals).
 func (s *Server) Station() *station.Station { return s.station }
 
 // Uptime reports how long the server has been running.
@@ -857,13 +760,7 @@ func (s *Server) Close() error {
 		// closes — and surfaces every live subscriber exactly once.
 		for _, sub := range v.subs.Close() {
 			s.ct.Unregister(sub.ct)
-			if sub.ring != nil {
-				sub.ring.Close()
-				continue
-			}
-			v.refMu.Lock()
-			close(sub.batches)
-			v.refMu.Unlock()
+			sub.ring.Close()
 		}
 	}
 	// Unblock handlers parked in reads or writes.
@@ -874,15 +771,11 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	// A concurrent fanOut tick may still be pushing from a pre-Close
 	// snapshot; pushes to the closed rings fail harmlessly and
-	// station.Close waits for the clock goroutine — and therefore the
-	// joined worker spans — to finish before the pool is torn down.
+	// station.Close waits for the clock goroutine to finish the tick.
 	s.alerts.Stop()
 	s.history.Stop()
 	s.ct.Stop()
 	s.station.Close()
-	if s.workers != nil {
-		s.workers.Close()
-	}
 	s.wg.Wait()
 	return err
 }
@@ -926,6 +819,12 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	defer s.untrack(conn)
 
+	// The handshake read is bounded like the report read: a dialer that
+	// never sends a request costs one goroutine and one fd for at most the
+	// control-read bound.
+	if err := s.armControlRead(conn); err != nil {
+		return
+	}
 	msg, err := wire.ReadFrame(conn)
 	if err != nil {
 		return
@@ -978,49 +877,14 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.unsubscribe(req.VideoID, sub)
 		return
 	}
-	admitSlot := int(info.AdmitSlot)
 	wait := root.Child("first_byte_wait")
-	if sub.ring != nil {
-		if !s.drainRing(conn, req.VideoID, sub, admitSlot, wait, root) {
-			return
-		}
-		// The subscription ended cleanly (ring closed at the last slot). A
-		// v2 session that did not opt out now owes us a ClientReport; a
-		// subscriber the fan-out dropped for falling behind gets
-		// disconnected instead.
-		if wantReport && !sub.ring.Dropped() {
-			s.readReport(conn, req.VideoID)
-		}
+	if !s.drainRing(conn, req.VideoID, sub, int(info.AdmitSlot), wait, root) {
 		return
 	}
-	firstByte := false
-	for batch := range sub.batches {
-		// The subscription was registered before the admission reached the
-		// scheduler, so the channel may carry slots from before the admit
-		// slot; the customer's service starts at admitSlot+1.
-		if batch.slot <= admitSlot {
-			continue
-		}
-		if _, err := conn.Write(batch.data); err != nil {
-			s.unsubscribe(req.VideoID, sub)
-			// Drain so the fan-out never blocks on this subscriber.
-			for range sub.batches {
-			}
-			return
-		}
-		sub.ct.RecordDrain(1, int64(len(batch.data)))
-		if !firstByte {
-			firstByte = true
-			lat := time.Since(sub.admitted).Seconds()
-			s.mAdmitLatency.Observe(lat)
-			s.firstByte.Observe(lat)
-			wait.End()
-			root.End()
-		}
-	}
-	// The subscription ended cleanly (channel closed at the last slot). A
-	// v2 session that did not opt out now owes us a ClientReport.
-	if wantReport {
+	// The subscription ended cleanly (ring closed at the last slot). A v2
+	// session that did not opt out now owes us a ClientReport; a subscriber
+	// the fan-out dropped for falling behind gets disconnected instead.
+	if wantReport && !sub.ring.Dropped() {
 		s.readReport(conn, req.VideoID)
 	}
 }
@@ -1104,14 +968,13 @@ func writeFrames(conn net.Conn, vec *net.Buffers, frames []*fanout.Frame, admitS
 // scheduler, so the subscriber provably receives every slot from the admit
 // slot on: the clock retires the admit slot only after the admission
 // completes, which is after registration. Slots at or before the admit slot
-// are discarded in handleConn (the set-top box ignores them anyway — its
+// are discarded in writeFrames (the set-top box ignores them anyway — its
 // service starts one slot after admission). This keeps scheduling entirely
-// off the server-wide mutex: concurrent admissions for videos on different
-// shards proceed in parallel.
+// off the server-wide mutex: admissions contend only for the station lock.
 //
-// root, when sampled, gains shard attribution and a station_admit child
-// covering the scheduler call (whose shard-lock wait and service time the
-// station's stage histograms break down further).
+// root, when sampled, gains a station_admit child covering the scheduler
+// call (whose lock wait and service time the station's stage histograms
+// break down further).
 func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Span) (*subscriber, wire.ScheduleInfo, error) {
 	v, ok := s.videos[videoID]
 	if !ok {
@@ -1129,25 +992,16 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 		admitted: time.Now(),
 	}
 	sub.lastSlot.Store(math.MaxInt64)
-	if s.cfg.FanoutReference {
-		sub.batches = make(chan slotBatch, s.cfg.SubscriberBuffer)
-	} else {
-		sub.ring = fanout.NewRing(s.cfg.SubscriberBuffer)
-	}
+	sub.ring = fanout.NewRing(s.cfg.SubscriberBuffer)
 	// Telemetry registration precedes publication into the subscriber set:
-	// tick workers read sub.ct lock-free from snapshots, so the field must
-	// be settled before Add makes the subscriber visible.
-	queueCap := s.cfg.SubscriberBuffer
-	if sub.ring != nil {
-		queueCap = sub.ring.Cap()
-	}
-	sub.ct = s.ct.Register(conn, videoID, queueCap)
+	// the tick reads sub.ct lock-free from snapshots, so the field must be
+	// settled before Add makes the subscriber visible.
+	sub.ct = s.ct.Register(conn, videoID, sub.ring.Cap())
 	if !v.subs.Add(sub) {
 		s.ct.Unregister(sub.ct)
 		return nil, wire.ScheduleInfo{}, fmt.Errorf("server shutting down")
 	}
 
-	root.SetShard(s.station.ShardOf(v.idx))
 	span := root.Child("station_admit")
 	res, err := s.station.Admit(v.idx, core.AdmitOptions{From: from})
 	span.End()
@@ -1166,9 +1020,9 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 		}
 	}
 	// The store is harmless when a concurrent disconnect already removed
-	// the subscriber — its ring is dropped and further pushes fail — and
-	// tick workers that read the placeholder MaxInt64 this slot simply
-	// retire the subscriber one snapshot later.
+	// the subscriber — its ring is dropped and further pushes fail — and a
+	// tick that read the placeholder MaxInt64 this slot simply retires the
+	// subscriber one snapshot later.
 	sub.lastSlot.Store(int64(admitSlot + suffixMax))
 	s.statRequests.Add(1)
 	s.mRequests.Inc()
@@ -1195,12 +1049,11 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 }
 
 // unsubscribe removes the subscription after an abnormal termination
-// (failed admit, dead connection) and ends its delivery primitive if the
-// fan-out has not already done so — Remove's exactly-one-winner contract
-// makes the teardown single-shot against a racing tick retirement or
-// server Close. Rings are Dropped rather than Closed so any queued frame
-// references are returned to the pool immediately — the handler will never
-// write them.
+// (failed admit, dead connection) and ends its ring if the fan-out has not
+// already done so — Remove's exactly-one-winner contract makes the teardown
+// single-shot against a racing tick retirement or server Close. The ring is
+// Dropped rather than Closed so any queued frame references are returned to
+// the pool immediately — the handler will never write them.
 func (s *Server) unsubscribe(videoID uint32, sub *subscriber) {
 	v, ok := s.videos[videoID]
 	if !ok {
@@ -1210,13 +1063,7 @@ func (s *Server) unsubscribe(videoID uint32, sub *subscriber) {
 		return
 	}
 	s.ct.Unregister(sub.ct)
-	if sub.ring != nil {
-		sub.ring.Drop()
-		return
-	}
-	v.refMu.Lock()
-	close(sub.batches)
-	v.refMu.Unlock()
+	sub.ring.Drop()
 }
 
 // dropHook adapts the fault-injection hook to one video and slot. It is
@@ -1229,14 +1076,13 @@ func (s *Server) dropHook(videoID uint32, slot int) func(segment int) bool {
 	return func(seg int) bool { return s.cfg.DropInstance(videoID, seg, slot) }
 }
 
-// fanOut runs on the station's clock goroutine once per retired slot: each
-// video's broadcast instances are encoded exactly once into a shared
-// ref-counted frame and one reference is pushed per subscriber ring — the
-// per-audience cost is a pointer, not a copy. With more than one fan-out
-// worker the catalogue spans are walked by the persistent pool and the
-// clock only dispatches and joins; per-worker tallies merge into the
-// shared counters once per tick, so the hot loops touch no shared cache
-// line and take no lock but each ring's own.
+// fanOut runs on the station's clock goroutine once per retired slot and
+// walks the catalogue inline: each video's broadcast instances are encoded
+// exactly once into a shared ref-counted frame and one reference is pushed
+// per subscriber ring — the per-audience cost is a pointer, not a copy.
+// Expired and ring-full subscribers are queued during a video's push loop
+// and detached after it, so the loop stays tight; the tick's counters reach
+// the shared atomics and registry once per tick.
 func (s *Server) fanOut(reports []core.SlotReport) {
 	t0 := time.Now()
 	defer func() {
@@ -1247,63 +1093,20 @@ func (s *Server) fanOut(reports []core.SlotReport) {
 	if s.closed.Load() {
 		return
 	}
-	if s.cfg.FanoutReference {
-		s.fanOutReference(reports)
-		return
-	}
-	s.tickReports = reports
-	if s.workers != nil {
-		s.workers.Tick()
-	} else {
-		s.fanOutSpan(0, 0, len(s.vlist))
-	}
 	var instances, bytes, maxDepth int64
+	// dropsBy counts dropped subscribers by attribution reason (last
+	// classified transport state, or untracked).
 	var dropsBy [numDropReasons]int64
-	for i := range s.tallies {
-		t := &s.tallies[i]
-		instances += t.instances
-		bytes += t.bytes
-		for r, n := range t.dropsBy {
-			dropsBy[r] += n
-		}
-		if t.maxDepth > maxDepth {
-			maxDepth = t.maxDepth
-		}
-		*t = fanoutTally{}
-	}
-	s.mInstances.Add(float64(instances))
-	s.statBroadcastBytes.Add(bytes)
-	s.mBroadcastBytes.Add(float64(bytes))
-	for r, n := range dropsBy {
-		if n != 0 {
-			s.statDropped.Add(n)
-			s.mDroppedBy[r].Add(float64(n))
-		}
-	}
-	s.ringDepth.Record(float64(maxDepth))
-}
-
-// fanOutSpan walks one contiguous catalogue span for one retired slot:
-// encode the video's slot once, push the shared frame to every subscriber
-// in the video's copy-on-write snapshot, and queue expired or ring-full
-// subscribers for retirement after the walk so the push loop stays tight.
-// worker indexes the caller's tally and retirement scratch; the snapshot
-// read is lock-free and the only locks taken are each ring's own, so spans
-// never contend with each other.
-func (s *Server) fanOutSpan(worker, lo, hi int) {
-	reports := s.tickReports
-	tally := &s.tallies[worker]
-	retire := s.retire[worker][:0]
-	for i := lo; i < hi; i++ {
-		v := s.vlist[i]
+	retire := s.retire[:0]
+	for _, v := range s.vlist {
 		rep := reports[v.idx]
 		v.load.Set(float64(rep.Load))
-		tally.instances += int64(rep.Load)
+		instances += int64(rep.Load)
 		frame, err := s.enc.EncodeSlot(v.cfg.ID, rep.Slot, rep.Segments, s.dropHook(v.cfg.ID, rep.Slot))
 		if err != nil {
 			continue // unreachable: the catalogue was built from the same configs
 		}
-		tally.bytes += frame.PayloadBytes()
+		bytes += frame.PayloadBytes()
 		for _, sub := range v.subs.Snapshot() {
 			frame.Retain()
 			depth, ok := sub.ring.Push(frame)
@@ -1315,9 +1118,7 @@ func (s *Server) fanOutSpan(worker, lo, hi int) {
 				retire = append(retire, retireEntry{sub: sub, drop: true})
 				continue
 			}
-			if int64(depth) > tally.maxDepth {
-				tally.maxDepth = int64(depth)
-			}
+			maxDepth = max(maxDepth, int64(depth))
 			if int64(rep.Slot) >= sub.lastSlot.Load() {
 				retire = append(retire, retireEntry{sub: sub})
 			}
@@ -1334,8 +1135,13 @@ func (s *Server) fanOutSpan(worker, lo, hi int) {
 				continue
 			}
 			if r.drop {
-				tally.dropsBy[dropReason(r.sub)]++
+				dropsBy[dropReason(r.sub)]++
 				r.sub.ring.Drop()
+				// Expire the connection too: a peer that stopped reading
+				// leaves the drain parked in a vectored write that Drop
+				// cannot reach, so the deadline fails that write and the
+				// handler exits.
+				_ = r.sub.conn.SetWriteDeadline(time.Now())
 			} else {
 				r.sub.ring.Close()
 			}
@@ -1343,53 +1149,15 @@ func (s *Server) fanOutSpan(worker, lo, hi int) {
 		}
 		retire = retire[:0]
 	}
-	s.retire[worker] = retire
-}
-
-// fanOutReference is the retained channel-based distribution path, selected
-// by Config.FanoutReference: one encoded byte slice per (video, slot),
-// handed to per-subscriber buffered channels. It is the executable spec the
-// differential test compares the zero-copy path against.
-func (s *Server) fanOutReference(reports []core.SlotReport) {
-	for _, vc := range s.cfg.Videos {
-		v := s.videos[vc.ID]
-		rep := reports[v.idx]
-		v.load.Set(float64(rep.Load))
-		s.mInstances.Add(float64(rep.Load))
-		data, payloadBytes, err := s.ref.EncodeSlot(vc.ID, rep.Slot, rep.Segments, s.dropHook(vc.ID, rep.Slot))
-		if err != nil {
-			continue // unreachable: the catalogue was built from the same configs
+	s.retire = retire
+	s.mInstances.Add(float64(instances))
+	s.statBroadcastBytes.Add(bytes)
+	s.mBroadcastBytes.Add(float64(bytes))
+	for r, n := range dropsBy {
+		if n != 0 {
+			s.statDropped.Add(n)
+			s.mDroppedBy[r].Add(float64(n))
 		}
-		s.statBroadcastBytes.Add(payloadBytes)
-		s.mBroadcastBytes.Add(float64(payloadBytes))
-		batch := slotBatch{slot: rep.Slot, data: data}
-		// refMu spans the send loop so a concurrent disconnect cannot close
-		// a channel between this snapshot and the send into it; the close
-		// happens once the video's sends are done.
-		v.refMu.Lock()
-		for _, sub := range v.subs.Snapshot() {
-			select {
-			case sub.batches <- batch:
-				sub.ct.RecordPush(len(sub.batches), true)
-			default:
-				// The subscriber fell a full buffer behind: disconnect it
-				// rather than stall the broadcast.
-				sub.ct.RecordPush(0, false)
-				if v.subs.Remove(sub) {
-					close(sub.batches)
-					s.statDropped.Add(1)
-					s.mDroppedBy[dropReason(sub)].Inc()
-					s.ct.Unregister(sub.ct)
-				}
-				continue
-			}
-			if int64(rep.Slot) >= sub.lastSlot.Load() {
-				if v.subs.Remove(sub) {
-					close(sub.batches)
-					s.ct.Unregister(sub.ct)
-				}
-			}
-		}
-		v.refMu.Unlock()
 	}
+	s.ringDepth.Record(float64(maxDepth))
 }

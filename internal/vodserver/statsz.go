@@ -16,7 +16,7 @@ import (
 // This file is the server's live introspection surface:
 //
 //	GET /statsz       operational counters as JSON
-//	GET /statusz      full pipeline snapshot: shard table, stage latency
+//	GET /statusz      full pipeline snapshot: per-video rows, stage latency
 //	                  windows, SLO burn, clock drift (what vodtop renders)
 //	GET /healthz      liveness probe: 200 with status and uptime
 //	GET /metricsz     the obs registry in Prometheus text format
@@ -291,7 +291,7 @@ func (s *Server) spanz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveStats(addr string) (net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("vodserver: stats listen: %w", err)
+		return nil, fmt.Errorf("stats listen: %w", err)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/statsz", s.statsz)

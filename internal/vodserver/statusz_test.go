@@ -40,7 +40,7 @@ func startStatusServer(t *testing.T, spanSink io.Writer) *Server {
 }
 
 // TestStatuszSnapshot decodes /statusz and checks every section of the
-// operator view: shard table, stage windows, first-byte SLO, fan-out and
+// operator view: per-video rows, stage windows, first-byte SLO, fan-out and
 // span accounting.
 func TestStatuszSnapshot(t *testing.T) {
 	s := startStatusServer(t, nil)
@@ -56,17 +56,15 @@ func TestStatuszSnapshot(t *testing.T) {
 		t.Fatalf("uptime=%v stats=%+v", snap.UptimeSeconds, snap.Stats)
 	}
 	st := snap.Station
-	if st.Videos != 2 || len(st.Shards) == 0 {
+	if st.Videos != 2 || len(st.PerVideo) != 2 {
 		t.Fatalf("station snapshot %+v", st)
 	}
-	var admits float64
-	videos := 0
-	for _, row := range st.Shards {
-		admits += row.Admits
-		videos += row.Videos
+	var requests int64
+	for _, row := range st.PerVideo {
+		requests += row.Requests
 	}
-	if admits != 2 || videos != 2 {
-		t.Fatalf("shard table admits=%v videos=%d", admits, videos)
+	if requests != 2 || st.Requests != 2 {
+		t.Fatalf("per-video requests=%d station requests=%d, want 2", requests, st.Requests)
 	}
 	for _, stage := range []string{"lock_wait", "admit"} {
 		if st.Stages[stage].Count == 0 {
@@ -92,7 +90,7 @@ func TestStatuszSnapshot(t *testing.T) {
 }
 
 // TestSpanzPipelineTree: /spanz carries the admit trees — roots attributed
-// to video and shard, station_admit and first_byte_wait children linked to
+// to their video, station_admit and first_byte_wait children linked to
 // their parents.
 func TestSpanzPipelineTree(t *testing.T) {
 	sink := &syncBuffer{}
@@ -117,7 +115,7 @@ func TestSpanzPipelineTree(t *testing.T) {
 	for _, r := range recs {
 		switch r.Name {
 		case "admit":
-			if r.Parent != 0 || r.Video == 0 || r.Shard < 0 || r.Dur <= 0 {
+			if r.Parent != 0 || r.Video == 0 || r.Dur <= 0 {
 				t.Fatalf("root span %+v", r)
 			}
 		case "station_admit", "first_byte_wait":
@@ -125,7 +123,7 @@ func TestSpanzPipelineTree(t *testing.T) {
 			if !ok || parent.Name != "admit" {
 				t.Fatalf("span %+v has no admit parent", r)
 			}
-			if r.Video != parent.Video || r.Shard != parent.Shard {
+			if r.Video != parent.Video {
 				t.Fatalf("child %+v lost parent attribution %+v", r, parent)
 			}
 		}
@@ -273,9 +271,9 @@ func TestRegisteredMetricNamesValid(t *testing.T) {
 	// feed /metricsz from one registry.
 	want := []string{
 		"vod_requests_total", "vod_fanout_seconds", "vod_admit_first_byte_seconds",
-		"station_stage_seconds", "station_queue_depth_sampled",
+		"station_stage_seconds",
 		"station_clock_tick_lag_seconds", "station_clock_slot_drift_slots",
-		"station_clock_ticks_total", "station_shard_queue_depth",
+		"station_clock_ticks_total",
 		"go_goroutines", "go_heap_alloc_bytes",
 		"client_reports_total", "client_startup_slots",
 		"client_deadline_slack_slots", "client_miss_total", "client_rebuffer_total",

@@ -16,8 +16,9 @@ import (
 // path end to end, and is meant to run under -race: a subscriber that stops
 // reading mid-broadcast must be dropped by the fan-out (not stall the slot
 // tick), the drop must be counted identically in Stats() and /metricsz, the
-// handler goroutine must exit once the connection dies, and a double Close
-// of the server must stay a no-op.
+// drop must expire the server side of the connection while the paused
+// client still holds its socket open, and a double Close of the server must
+// stay a no-op.
 func TestSlowSubscriberDroppedMidBroadcast(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s, err := Start(Config{
@@ -63,6 +64,7 @@ func TestSlowSubscriberDroppedMidBroadcast(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	dropped := time.Now()
 
 	st := s.Stats()
 	if st.Dropped < 1 {
@@ -101,15 +103,15 @@ func TestSlowSubscriberDroppedMidBroadcast(t *testing.T) {
 		t.Fatal("no reason-labelled drop counter child carries the drop")
 	}
 
-	// Kill the client side; the wedged write fails and the handler exits,
-	// draining the subscriber count to zero.
-	conn.Close()
-	for s.Stats().ActiveSubscribers != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("subscribers never drained: %+v", s.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The client is still paused with its socket open. The drop expired
+	// the connection's write deadline, so the wedged vectored write fails
+	// and the handler exits and untracks the connection within the bound —
+	// it does not wait for the peer to close.
+	waitHandlersGone(t, s, dropped, 2*time.Second)
+	if st := s.Stats(); st.ActiveSubscribers != 0 {
+		t.Fatalf("subscribers never drained: %+v", st)
 	}
+	conn.Close()
 
 	// Close twice: the second must be a clean no-op (no double-close of
 	// rings, channels or the station).
