@@ -31,19 +31,22 @@ lint:
 		echo "lint: staticcheck not installed — skipping (install: go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION))"; \
 	fi
 
-# The one-stop gate: vet, the race suite, a coverage floor on the
-# observability-critical packages (including the wire codec and the QoE
-# client since they carry the telemetry loop), and the metric-name lint
-# (every family a fully wired server registers — the client_* families
-# included — must pass obs.ValidMetricName).
+# The one-stop gate: gofmt (any file it would rewrite fails the gate), vet,
+# the race suite, a coverage floor on the observability-critical packages
+# (including the wire codec, the QoE client and the STB oracle since they
+# carry the telemetry loop), and the metric-name lint (every family a fully
+# wired server registers — the client_* families included — must pass
+# obs.ValidMetricName).
 COVER_FLOOR ?= 85
 ci:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt: unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...
-	$(GO) test -coverprofile=ci-cover.out ./internal/obs/ ./internal/obs/history/ ./internal/station/ ./internal/wire/ ./internal/vodclient/
+	$(GO) test -coverprofile=ci-cover.out ./internal/obs/ ./internal/obs/history/ ./internal/station/ ./internal/wire/ ./internal/vodclient/ ./internal/client/
 	@total=$$($(GO) tool cover -func=ci-cover.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	echo "obs+history+station+wire+vodclient coverage: $$total% (floor $(COVER_FLOOR)%)"; \
+	echo "obs+history+station+wire+vodclient+client coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v floor="$(COVER_FLOOR)" 'BEGIN { exit !(t+0 >= floor+0) }' || \
 		{ echo "coverage $$total% below floor $(COVER_FLOOR)%"; exit 1; }
 	$(GO) test -run '^TestRegisteredMetricNamesValid$$' -count=1 ./internal/vodserver/

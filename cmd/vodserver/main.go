@@ -29,7 +29,7 @@ func main() {
 		segments      = flag.Int("segments", 99, "segments per video")
 		slotMillis    = flag.Int("slot-ms", 500, "slot duration in milliseconds")
 		segmentBytes  = flag.Int("segment-bytes", 4096, "payload bytes per segment")
-		statsAddr     = flag.String("stats-addr", "", "optional HTTP monitoring address serving /statsz, /statusz, /healthz, /metricsz, /tracez, /spanz and /debug/pprof")
+		statsAddr     = flag.String("stats-addr", "", "optional HTTP monitoring address serving /statusz, /healthz, /metricsz, /tracez, /spanz, /alertz, /connz, /queryz and /debug/pprof")
 		tracePath     = flag.String("trace", "", "optional JSONL file capturing every scheduler event")
 		spanPath      = flag.String("span-trace", "", "optional JSONL file capturing sampled admission pipeline spans")
 		spanSample    = flag.Int("span-sample", 0, "keep 1 in N admission span trees (0 = default, 1 = everything)")
@@ -154,7 +154,7 @@ func run(o serveOpts) error {
 	fmt.Printf("vodserver listening on %s (%d videos, %d segments, %d ms slots)\n",
 		srv.Addr(), o.videos, o.segments, o.slotMillis)
 	if srv.StatsAddr() != "" {
-		fmt.Printf("introspection on http://%s/{statsz,statusz,healthz,metricsz,tracez,spanz,alertz,queryz,connz,debug/pprof}\n", srv.StatsAddr())
+		fmt.Printf("introspection on http://%s/{statusz,healthz,metricsz,tracez,spanz,alertz,queryz,connz,debug/pprof}\n", srv.StatsAddr())
 		fmt.Printf("live dashboard: go run ./cmd/vodtop -addr %s\n", srv.StatsAddr())
 	}
 	if o.flightDir != "" {

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -42,8 +43,8 @@ func TestSTBHappyPath(t *testing.T) {
 	if !c.Complete() {
 		t.Fatal("all segments fed but STB not complete")
 	}
-	if c.MaxBuffered() != 1 {
-		t.Fatalf("MaxBuffered = %d, want 1 for just-in-time delivery", c.MaxBuffered())
+	if c.QoE().MaxBuffered != 1 {
+		t.Fatalf("MaxBuffered = %d, want 1 for just-in-time delivery", c.QoE().MaxBuffered)
 	}
 }
 
@@ -71,8 +72,8 @@ func TestSTBEarlyDeliveryBuffers(t *testing.T) {
 	if err := c.ObserveSlot(1, []int{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	if c.MaxBuffered() != 4 {
-		t.Fatalf("MaxBuffered = %d, want 4", c.MaxBuffered())
+	if c.QoE().MaxBuffered != 4 {
+		t.Fatalf("MaxBuffered = %d, want 4", c.QoE().MaxBuffered)
 	}
 	for slot := 2; slot <= 4; slot++ {
 		if err := c.ObserveSlot(slot, nil); err != nil {
@@ -102,8 +103,8 @@ func TestSTBIgnoresPreArrivalAndDuplicates(t *testing.T) {
 	if !c.Received(1) || !c.Received(2) {
 		t.Fatal("segments not received")
 	}
-	if c.MaxBuffered() != 2 {
-		t.Fatalf("MaxBuffered = %d, want 2 (duplicate must not double-count)", c.MaxBuffered())
+	if c.QoE().MaxBuffered != 2 {
+		t.Fatalf("MaxBuffered = %d, want 2 (duplicate must not double-count)", c.QoE().MaxBuffered)
 	}
 }
 
@@ -123,6 +124,93 @@ func TestSTBRejectsBadInput(t *testing.T) {
 	}
 	if err := c.ObserveSlot(1, nil); err == nil {
 		t.Fatal("out-of-order slot accepted")
+	}
+}
+
+// TestSTBSlackMissesRebuffers: a tolerant caller keeps feeding slots past
+// a miss, and the STB accounts startup, slack, misses, stalls and buffer
+// occupancy across it.
+func TestSTBSlackMissesRebuffers(t *testing.T) {
+	// Video of 4 segments, deadlines admit+1..admit+4, admitted at slot 10.
+	c, err := New(10, []int{0, 1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Slot 11: segments 1 and 2 arrive — 1 is just in time (slack 0), 2 a
+	// slot early (slack 1). Segment 1's deadline settles in the same slot.
+	if err := c.ObserveSlot(11, []int{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ObserveSlot(12, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Slot 13 ends empty: segment 3 misses its deadline.
+	if err := c.ObserveSlot(13, nil); !errors.Is(err, ErrMissedDeadline) {
+		t.Fatalf("slot 13 error = %v, want ErrMissedDeadline", err)
+	}
+	// Slot 14: 3 arrives late (slack -1); 4 never arrives and misses too.
+	if err := c.ObserveSlot(14, []int{3}); !errors.Is(err, ErrMissedDeadline) ||
+		!strings.Contains(err.Error(), "segment 4") {
+		t.Fatalf("slot 14 error = %v, want segment 4's miss", err)
+	}
+	q := c.QoE()
+	if q.Misses != 2 {
+		t.Fatalf("misses = %d, want 2 (segment 3 late, segment 4 never)", q.Misses)
+	}
+	if q.Rebuffers != 1 {
+		t.Fatalf("rebuffers = %d, want 1 (slots 13 and 14 are one stall)", q.Rebuffers)
+	}
+	if q.MinSlack != -1 {
+		t.Fatalf("minSlack = %d, want -1", q.MinSlack)
+	}
+	if q.StartupSlots != 1 {
+		t.Fatalf("startup = %d, want 1", q.StartupSlots)
+	}
+	if got := q.Needed - q.Arrived; got != 1 {
+		t.Fatalf("missing = %d, want 1", got)
+	}
+	if q.SessionSlots != 4 {
+		t.Fatalf("sessionSlots = %d, want 4", q.SessionSlots)
+	}
+	if q.MaxBuffered != 2 {
+		t.Fatalf("maxBuffered = %d, want 2", q.MaxBuffered)
+	}
+	if q.SumSlack != 0 || q.MeanSlack() != 0 {
+		t.Fatalf("slack sum/mean = %d/%v, want 0/0 (0 + 1 - 1)", q.SumSlack, q.MeanSlack())
+	}
+	if c.Complete() {
+		t.Fatal("STB complete without segment 4")
+	}
+}
+
+func TestSTBQoEBeforeFirstSegment(t *testing.T) {
+	c, err := New(3, video.DefaultPeriods(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ObserveSlot(3, []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	// Nothing has arrived: startup is charged the whole session, no slack.
+	if q := c.QoE(); q.StartupSlots != 0 || q.Arrived != 0 || q.MinSlack != 0 || q.MeanSlack() != 0 {
+		t.Fatalf("qoe = %+v", q)
+	}
+	if c.LastSlot() != 5 {
+		t.Fatalf("LastSlot = %d, want 5", c.LastSlot())
+	}
+}
+
+// checkOnTime asserts the tolerant accounting of a completed session the
+// oracle passed: no misses, no late segment, and the first segment within
+// T[1] slots.
+func checkOnTime(t *testing.T, c *STB, periods []int) {
+	t.Helper()
+	q := c.QoE()
+	if q.Misses != 0 || q.Rebuffers != 0 || q.MinSlack < 0 || q.StartupSlots > periods[1] {
+		t.Fatalf("on-time session accounted %+v (T[1] = %d)", q, periods[1])
+	}
+	if q.Arrived != q.Needed {
+		t.Fatalf("complete session arrived %d of %d", q.Arrived, q.Needed)
 	}
 }
 
@@ -156,6 +244,8 @@ func TestDHBServesEveryCustomer(t *testing.T) {
 				}
 				if !stb.Complete() {
 					kept = append(kept, stb)
+				} else {
+					checkOnTime(t, stb, periods)
 				}
 			}
 			live = kept
@@ -190,6 +280,8 @@ func TestDHBWithWorkAheadPeriodsServesEveryCustomer(t *testing.T) {
 			}
 			if !stb.Complete() {
 				kept = append(kept, stb)
+			} else {
+				checkOnTime(t, stb, periods)
 			}
 		}
 		live = kept
@@ -247,6 +339,7 @@ func TestResumeSTBHappyPath(t *testing.T) {
 	if !c.Complete() {
 		t.Fatal("resume STB not complete")
 	}
+	checkOnTime(t, c, video.DefaultPeriods(5))
 }
 
 func TestResumeSTBDetectsMiss(t *testing.T) {
@@ -257,5 +350,23 @@ func TestResumeSTBDetectsMiss(t *testing.T) {
 	// Slot 1 passes without segment 3, whose shifted deadline is slot 1.
 	if err := c.ObserveSlot(1, nil); err == nil {
 		t.Fatal("missed shifted deadline not detected")
+	}
+}
+
+// TestResumeSTBMissNamesShiftedPeriod: a resumed session's miss reports the
+// period its deadline was shifted to, not the full-video period.
+func TestResumeSTBMissNamesShiftedPeriod(t *testing.T) {
+	c, err := NewFrom(0, video.DefaultPeriods(5), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ObserveSlot(1, []int{3}); err != nil {
+		t.Fatal(err)
+	}
+	// Segment 4 is the suffix's second segment: due by slot 0 + T[2] = 2.
+	err = c.ObserveSlot(2, nil)
+	if !errors.Is(err, ErrMissedDeadline) || !strings.Contains(err.Error(), "segment 4 due by slot 2") ||
+		!strings.Contains(err.Error(), "T=2") {
+		t.Fatalf("resumed miss error = %v, want segment 4 due by slot 2 with T=2", err)
 	}
 }

@@ -88,3 +88,15 @@ func ValidatePeriods(t []int, n int) error {
 	}
 	return nil
 }
+
+// LastDeadline reports how many slots after its admission a customer who
+// resumes at segment from (1 = the beginning) receives its final segment:
+// the customer consumes the suffix from..n as a whole video, so its last
+// deadline is the largest of T[1..n-from+1].
+func LastDeadline(t []int, from int) int {
+	last := 0
+	for _, p := range t[1 : len(t)-from+1] {
+		last = max(last, p)
+	}
+	return last
+}

@@ -125,3 +125,14 @@ func TestValidatePeriods(t *testing.T) {
 		})
 	}
 }
+
+func TestLastDeadline(t *testing.T) {
+	// A work-ahead vector need not be monotone: the suffix's largest
+	// period, not its last one, ends the session.
+	p := []int{0, 1, 4, 3, 5}
+	for from, want := range map[int]int{1: 5, 2: 4, 3: 4, 4: 1} {
+		if got := LastDeadline(p, from); got != want {
+			t.Errorf("LastDeadline(from %d) = %d, want %d", from, got, want)
+		}
+	}
+}

@@ -1,20 +1,19 @@
 // Package vodclient is the set-top-box side of the networked DHB system: it
 // requests a video from a vodserver, receives the broadcast segment frames,
-// verifies every payload byte and every delivery deadline with the STB
-// oracle of internal/client, and reports what it observed — locally through
-// the returned Result (and optionally an obs.Registry), and back to the
-// server as a wire.ClientReport so operators see the customer's side of the
-// delivery contract.
+// verifies every payload byte, feeds every slot to the STB oracle of
+// internal/client, and reports what the oracle measured — locally through
+// the returned Result, and back to the server as a wire.ClientReport so
+// operators see the customer's side of the delivery contract.
 package vodclient
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"time"
 
 	"vodcast/internal/client"
-	"vodcast/internal/obs"
 	"vodcast/internal/wire"
 )
 
@@ -95,12 +94,9 @@ type FetchOptions struct {
 	NoTrace bool
 	// NoReport opts out of the end-of-session ClientReport.
 	NoReport bool
-	// StrictDeadlines arms the full STB oracle: the first missed deadline
-	// fails the fetch instead of being recorded as QoE telemetry.
+	// StrictDeadlines makes the STB oracle's first missed deadline fail
+	// the fetch instead of being recorded as QoE telemetry.
 	StrictDeadlines bool
-	// Registry, when non-nil, receives the session's client_* metric
-	// families for local scraping.
-	Registry *obs.Registry
 }
 
 // FetchWith runs one session against the server at addr as configured by
@@ -178,8 +174,8 @@ func runSession(conn net.Conn, start time.Time, dial time.Duration, opts FetchOp
 		return Result{}, fmt.Errorf("vodclient: resume segment %d beyond %d", opts.From, info.Segments)
 	}
 
-	// Rebuild the 1-based period vector and arm the STB oracle — even a
-	// tolerant session wants the oracle's validation of the schedule.
+	// Rebuild the 1-based period vector and arm the STB oracle, which both
+	// validates the schedule and accounts the session's playback quality.
 	periods := make([]int, info.Segments+1)
 	for j := uint32(1); j <= info.Segments; j++ {
 		periods[j] = int(info.Periods[j-1])
@@ -188,7 +184,6 @@ func runSession(conn net.Conn, start time.Time, dial time.Duration, opts FetchOp
 	if err != nil {
 		return Result{}, fmt.Errorf("vodclient: %w", err)
 	}
-	qoe := newQoETracker(int(info.AdmitSlot), periods, int(opts.From))
 	// A report is only owed when both sides speak v2 and nobody opted out.
 	sendReport := info.Version >= wire.ProtoV2 && !opts.NoReport
 
@@ -201,8 +196,6 @@ func runSession(conn net.Conn, start time.Time, dial time.Duration, opts FetchOp
 		Periods:    periods,
 		SlotMillis: int(info.SlotMillis),
 	}
-	// The session ends when the shifted suffix's last deadline passes.
-	lastSlot := int(info.AdmitSlot) + maxPeriod(periods[:int(info.Segments)-int(opts.From)+2])
 	var slotSegments []int
 	for {
 		msg, err := wire.ReadFrame(conn)
@@ -224,57 +217,62 @@ func runSession(conn net.Conn, start time.Time, dial time.Duration, opts FetchOp
 			if !bytes.Equal(m.Payload, want) {
 				return Result{}, fmt.Errorf("vodclient: corrupt payload for segment %d", m.Segment)
 			}
-			if qoe.seen(int(m.Segment)) {
+			if stb.Received(int(m.Segment)) {
 				res.SharedFrames++
 			}
 			res.PayloadBytes += int64(len(m.Payload))
 			slotSegments = append(slotSegments, int(m.Segment))
 		case wire.SlotEnd:
-			if opts.StrictDeadlines {
-				if err := stb.ObserveSlot(int(m.Slot), slotSegments); err != nil {
-					return Result{}, fmt.Errorf("vodclient: %w", err)
-				}
+			err := stb.ObserveSlot(int(m.Slot), slotSegments)
+			if err != nil && (opts.StrictDeadlines || !errors.Is(err, client.ErrMissedDeadline)) {
+				return Result{}, fmt.Errorf("vodclient: %w", err)
 			}
-			qoe.observeSlot(int(m.Slot), slotSegments)
 			slotSegments = slotSegments[:0]
-			if int(m.Slot) >= lastSlot {
-				qoe.finalize(int(m.Slot))
-				if opts.StrictDeadlines && !stb.Complete() {
-					return Result{}, fmt.Errorf("vodclient: stream ended with segments missing")
-				}
-				res.MaxBuffered = qoe.maxBuffered
-				res.StartupSlots = qoe.startup
-				res.DeadlineMisses = qoe.misses
-				res.Rebuffers = qoe.rebuffers
-				res.MissingSegments = qoe.needed() - qoe.receivedCount
-				res.MinSlackSlots = qoe.minSlack
-				res.MeanSlackSlots = qoe.meanSlack()
-				res.SessionSlots = qoe.sessionSlots
-				res.Elapsed = time.Since(start)
-				qoe.publish(opts.Registry, info.VideoID, res.PayloadBytes)
-				if sendReport {
-					report := qoe.report(info.VideoID, info.TraceID, info.SpanID,
-						res.SharedFrames, res.PayloadBytes)
-					if err := wire.WriteFrame(conn, report); err != nil {
-						return res, fmt.Errorf("vodclient: send report: %w", err)
-					}
-				}
-				return res, nil
+			if int(m.Slot) < stb.LastSlot() {
+				continue
 			}
+			if opts.StrictDeadlines && !stb.Complete() {
+				return Result{}, fmt.Errorf("vodclient: stream ended with segments missing")
+			}
+			q := stb.QoE()
+			res.MaxBuffered = q.MaxBuffered
+			res.StartupSlots = q.StartupSlots
+			res.DeadlineMisses = q.Misses
+			res.Rebuffers = q.Rebuffers
+			res.MissingSegments = q.Needed - q.Arrived
+			res.MinSlackSlots = q.MinSlack
+			res.MeanSlackSlots = q.MeanSlack()
+			res.SessionSlots = q.SessionSlots
+			res.Elapsed = time.Since(start)
+			if sendReport {
+				report := wire.ClientReport{
+					Version:          wire.ProtoV2,
+					VideoID:          info.VideoID,
+					TraceID:          info.TraceID,
+					SpanID:           info.SpanID,
+					AdmitSlot:        info.AdmitSlot,
+					FromSegment:      opts.From,
+					SegmentsNeeded:   uint32(q.Needed),
+					SegmentsReceived: uint32(q.Arrived),
+					SharedFrames:     uint32(res.SharedFrames),
+					StartupSlots:     uint32(q.StartupSlots),
+					DeadlineMisses:   uint32(q.Misses),
+					Rebuffers:        uint32(q.Rebuffers),
+					MaxBuffered:      uint32(q.MaxBuffered),
+					SessionSlots:     uint32(q.SessionSlots),
+					MinSlackSlots:    int32(q.MinSlack),
+					SumSlackSlots:    q.SumSlack,
+					PayloadBytes:     uint64(res.PayloadBytes),
+				}
+				if err := wire.WriteFrame(conn, report); err != nil {
+					return res, fmt.Errorf("vodclient: send report: %w", err)
+				}
+			}
+			return res, nil
 		case wire.ErrorMsg:
 			return Result{}, fmt.Errorf("vodclient: server error: %s", m.Text)
 		default:
 			return Result{}, fmt.Errorf("vodclient: unexpected frame %T", msg)
 		}
 	}
-}
-
-func maxPeriod(periods []int) int {
-	max := 0
-	for _, p := range periods[1:] {
-		if p > max {
-			max = p
-		}
-	}
-	return max
 }

@@ -18,16 +18,17 @@ import (
 // per-segment samples: a report is one customer's session, which is the
 // granularity operators alert on.
 
-// clientStartupBuckets and clientSlackBuckets match the client-local
-// families in internal/vodclient, so a fleet scrape and a server scrape bin
-// identically. Slack is signed: negative buckets are late segments.
+// clientStartupBuckets and clientSlackBuckets bin the per-report startup
+// delay and mean slack of the client_* families. These families exist only
+// here: clients ship reports, not metrics. Slack is signed: negative
+// buckets are late deliveries.
 var (
 	clientStartupBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 	clientSlackBuckets   = []float64{-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16, 32, 64, 128}
 )
 
-// armAlerts registers the built-in rules plus any operator-supplied ones and
-// starts the evaluation ticker. Called once from Start.
+// armAlerts registers the built-in rules and starts the evaluation ticker.
+// Called once from Start.
 func (s *Server) armAlerts() error {
 	// Pre-register the per-video report families so the inventory (and the
 	// metric-name lint walking it) is complete from boot, not from the
@@ -84,11 +85,6 @@ func (s *Server) armAlerts() error {
 			func() float64 { return s.mReports.Value() }, s.cfg.ReportStaleAfter)
 		stale.Help = fmt.Sprintf("no client report for %v", s.cfg.ReportStaleAfter)
 		if err := s.alerts.Add(stale); err != nil {
-			return err
-		}
-	}
-	for _, r := range s.cfg.AlertRules {
-		if err := s.alerts.Add(r); err != nil {
 			return err
 		}
 	}

@@ -33,6 +33,7 @@ import (
 	"vodcast/internal/obs"
 	"vodcast/internal/obs/history"
 	"vodcast/internal/station"
+	vid "vodcast/internal/video"
 	"vodcast/internal/wire"
 )
 
@@ -75,16 +76,14 @@ type Config struct {
 	// cannot stall the broadcast. Zero selects a sensible default.
 	SubscriberBuffer int
 	// StatsAddr optionally binds an HTTP monitoring endpoint serving
-	// /statsz (JSON counters), /healthz (liveness + uptime), /metricsz
-	// (Prometheus text format), /tracez (recent scheduler events) and
-	// /debug/pprof/*.
+	// /statusz (the pipeline snapshot, counters included), /healthz
+	// (liveness + uptime), /metricsz (Prometheus text format), /tracez
+	// (recent scheduler events) and the rest of the routes listed in
+	// statsz.go.
 	StatsAddr string
 	// TraceWriter optionally streams every scheduler event as JSONL (the
 	// qlog-style trace of internal/obs) for offline analysis.
 	TraceWriter io.Writer
-	// TraceEvents bounds the /tracez ring buffer; zero selects
-	// obs.DefaultRingSize.
-	TraceEvents int
 	// SpanWriter optionally streams every finished pipeline span as JSONL.
 	// Spans are recorded to the /spanz ring regardless; the writer adds the
 	// offline stream.
@@ -93,9 +92,6 @@ type Config struct {
 	// the root's decision); 0 selects DefaultSpanSampleEvery, 1 keeps
 	// everything.
 	SpanSampleEvery int
-	// SpanSeed seeds the span sampler so a fixed seed reproduces the same
-	// sampled set for the same arrival sequence.
-	SpanSeed int64
 	// SLOTargetSeconds is the admit-to-first-byte latency objective
 	// threshold; 0 selects two slot durations (the customer's worst-case
 	// protocol wait is one full slot, so two slots flags real control-path
@@ -122,8 +118,6 @@ type Config struct {
 	// ReportStaleAfter arms the client_reports_stale rule: it fires when no
 	// client report has arrived for this long. 0 disables the rule.
 	ReportStaleAfter time.Duration
-	// AlertRules appends operator-defined rules to the built-ins.
-	AlertRules []obs.AlertRule
 	// DropInstance, when non-nil, suppresses the transmission of scheduled
 	// broadcast instances for which it returns true — fault injection for
 	// tests and operator drills. The scheduler still counts the instance;
@@ -321,7 +315,8 @@ type Server struct {
 	// videos is immutable after Start; per-subscriber state lives in each
 	// video's copy-on-write set so the server-wide lock never sits on the
 	// broadcast path. mu guards only the connection set; the counters the
-	// fan-out and admit paths touch are atomics.
+	// fan-out and admit paths touch are registry counters, which lock
+	// themselves.
 	mu     sync.Mutex
 	videos map[uint32]*video
 	conns  map[net.Conn]struct{}
@@ -334,10 +329,6 @@ type Server struct {
 	// ring-full subscribers collected during a video's push loop, detached
 	// after it. Only the clock goroutine touches it.
 	retire []retireEntry
-
-	statRequests       atomic.Int64
-	statBroadcastBytes atomic.Int64
-	statDropped        atomic.Int64
 
 	// loadMu guards loadFn, the optional load-harness live-status source
 	// installed with SetLoadStatus and published into /statusz.
@@ -376,7 +367,7 @@ func Start(cfg Config) (*Server, error) {
 	}
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
-	tracer := obs.NewTracer(cfg.TraceWriter, cfg.TraceEvents)
+	tracer := obs.NewTracer(cfg.TraceWriter, 0)
 	videos := make(map[uint32]*video, len(cfg.Videos))
 	stationVideos := make([]station.VideoConfig, len(cfg.Videos))
 	enc := fanout.NewEncoder()
@@ -450,7 +441,7 @@ func Start(cfg Config) (*Server, error) {
 		started:     time.Now(),
 		reg:         reg,
 		tracer:      tracer,
-		spans:       obs.NewSpanTracer(cfg.SpanWriter, cfg.TraceEvents, cfg.SpanSampleEvery, cfg.SpanSeed),
+		spans:       obs.NewSpanTracer(cfg.SpanWriter, 0, cfg.SpanSampleEvery, 0),
 		alerts:      obs.NewAlertEngine(),
 		firstByte:   firstByte,
 		fanout:      obs.NewWindow(0),
@@ -731,9 +722,11 @@ func (s *Server) Uptime() time.Duration { return time.Since(s.started) }
 // Stats returns a snapshot of the server counters.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Requests:       s.statRequests.Load(),
-		BroadcastBytes: s.statBroadcastBytes.Load(),
-		Dropped:        s.statDropped.Load(),
+		Requests:       int64(s.mRequests.Value()),
+		BroadcastBytes: int64(s.mBroadcastBytes.Value()),
+	}
+	for _, c := range s.mDroppedBy {
+		st.Dropped += int64(c.Value())
 	}
 	_, st.Instances = s.station.Totals()
 	for _, v := range s.videos {
@@ -1011,20 +1004,12 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 	}
 	admitSlot := res.Slot
 
-	// The subscription ends once the customer's last deadline passes: the
-	// largest shifted period of the remaining suffix.
-	suffixMax := 0
-	for k := 1; k <= v.cfg.Segments-from+1; k++ {
-		if p := v.periods[k]; p > suffixMax {
-			suffixMax = p
-		}
-	}
-	// The store is harmless when a concurrent disconnect already removed
+	// The subscription ends once the customer's last deadline passes. The
+	// store is harmless when a concurrent disconnect already removed
 	// the subscriber — its ring is dropped and further pushes fail — and a
 	// tick that read the placeholder MaxInt64 this slot simply retires the
 	// subscriber one snapshot later.
-	sub.lastSlot.Store(int64(admitSlot + suffixMax))
-	s.statRequests.Add(1)
+	sub.lastSlot.Store(int64(admitSlot + vid.LastDeadline(v.periods, from)))
 	s.mRequests.Inc()
 
 	periods := make([]uint32, v.cfg.Segments)
@@ -1151,11 +1136,9 @@ func (s *Server) fanOut(reports []core.SlotReport) {
 	}
 	s.retire = retire
 	s.mInstances.Add(float64(instances))
-	s.statBroadcastBytes.Add(bytes)
 	s.mBroadcastBytes.Add(float64(bytes))
 	for r, n := range dropsBy {
 		if n != 0 {
-			s.statDropped.Add(n)
 			s.mDroppedBy[r].Add(float64(n))
 		}
 	}

@@ -448,7 +448,9 @@ func TestConcurrentResumesShare(t *testing.T) {
 	}
 }
 
-func TestStatszEndpoint(t *testing.T) {
+// TestStatuszStatsBlock: /statusz carries the operational counters in its
+// stats block, and the route is GET-only.
+func TestStatuszStatsBlock(t *testing.T) {
 	s, err := Start(Config{
 		Addr:         "127.0.0.1:0",
 		Videos:       []VideoConfig{{ID: 1, Segments: 6, SegmentBytes: 64}},
@@ -465,7 +467,7 @@ func TestStatszEndpoint(t *testing.T) {
 	if _, err := vodclient.FetchWith(s.Addr(), vodclient.FetchOptions{VideoID: 1, Timeout: 10 * time.Second, StrictDeadlines: true}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get("http://" + s.StatsAddr() + "/statsz")
+	resp, err := http.Get("http://" + s.StatsAddr() + "/statusz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,15 +475,17 @@ func TestStatszEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	var snap struct {
+		Stats Stats `json:"stats"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if st.Requests != 1 || st.Instances != 6 {
+	if st := snap.Stats; st.Requests != 1 || st.Instances != 6 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Non-GET is rejected.
-	post, err := http.Post("http://"+s.StatsAddr()+"/statsz", "text/plain", nil)
+	post, err := http.Post("http://"+s.StatsAddr()+"/statusz", "text/plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,6 @@ func TestRouteGuards(t *testing.T) {
 		path        string
 		contentType string
 	}{
-		{"/statsz", "application/json"},
 		{"/statusz", "application/json"},
 		{"/healthz", "application/json"},
 		{"/metricsz", "text/plain; version=0.0.4; charset=utf-8"},

@@ -92,8 +92,8 @@ type AlertRule = obs.AlertRule
 // AlertStatus is the exported state of one rule after an evaluation.
 type AlertStatus = obs.AlertStatus
 
-// NewAlertEngine builds an empty alert engine; add rules then Start it, or
-// hand rules to ServeConfig.AlertRules and let the server drive it.
+// NewAlertEngine builds an empty alert engine; add rules then Start it. A
+// served catalogue drives its own engine with the built-in rules.
 func NewAlertEngine() *AlertEngine { return obs.NewAlertEngine() }
 
 // AlertTransition is one rule state change delivered to the engine's
