@@ -78,6 +78,10 @@ ci:
 	$(GO) test -run '^TestDrainZeroAlloc$$' -count=1 ./internal/vodserver/
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/...
 	$(GO) run ./cmd/vodload -sessions 200 -duration 2s -slot-ms 5 -report /dev/null
+	# The serving benchmark is its own module compiled against the wire,
+	# load and conntrack APIs: vet and test it so an API change that breaks
+	# it fails here, not at the next benchmark run.
+	cd vodbench && $(GO) vet ./... && $(GO) test ./...
 	@rm -f ci-cover.out
 	@echo "ci: all gates passed"
 
@@ -144,8 +148,9 @@ bench-obs:
 bench-history:
 	$(GO) test -run '^$$' -bench 'BenchmarkStore|BenchmarkNil' -benchmem ./internal/obs/history/
 
-# The wire codec A/B behind BENCH_wire.json: V1 frames are the trace-disabled
-# path, V2 frames carry the trace block; the budget is <2% on the V1 rows.
+# The wire codec cost behind BENCH_wire.json: every control frame carries the
+# version and trace block. The V1 rows in BENCH_wire.json are historical —
+# the versionless layout they priced is gone.
 bench-wire:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/wire/
 

@@ -118,33 +118,37 @@ type Config struct {
 	// Hold is the hysteresis: how many consecutive samples a candidate state
 	// must persist before the published state changes. <= 0 selects 2.
 	Hold int
-	// RetransThreshold is the per-sample retransmitted-segment delta at or
-	// above which a connection classifies path_limited. <= 0 selects 3.
-	RetransThreshold int64
-	// RwndFraction classifies receiver_limited when the kernel's
-	// rwnd-limited time grew by at least this fraction of the sample
-	// interval. <= 0 selects 0.1.
-	RwndFraction float64
-	// RingHighFraction is the ring occupancy at or above which a connection
-	// counts as behind the broadcast rate. <= 0 selects 0.5.
-	RingHighFraction float64
-	// NotSentLowBytes bounds the kernel send-queue backlog below which a
-	// deep ring is attributed to the server's own drain (sender_backpressured)
-	// rather than the receiver. <= 0 selects 4096.
-	NotSentLowBytes uint32
 	// MaxVideoLabels caps the conn_video_tracked gauge cardinality: at most
 	// this many distinct video labels are created, the rest fold into
 	// video="other". <= 0 selects 16.
 	MaxVideoLabels int
-	// DepthWindow sizes the per-connection ring-depth window behind the
-	// /connz ring-depth p99 column. <= 0 selects 64.
-	DepthWindow int
 	// Registry, when non-nil, receives the conn_* metric families.
 	Registry *obs.Registry
 	// Clock stamps samples; nil selects time.Now. Tests inject a manual
 	// clock to make hysteresis deterministic.
 	Clock func() time.Time
 }
+
+// The classifier's thresholds.
+const (
+	// retransThreshold is the per-sample retransmitted-segment delta at or
+	// above which a connection classifies path_limited.
+	retransThreshold = 3
+	// rwndFraction classifies receiver_limited when the kernel's
+	// rwnd-limited time grew by at least this fraction of the sample
+	// interval.
+	rwndFraction = 0.1
+	// ringHighFraction is the ring occupancy at or above which a connection
+	// counts as behind the broadcast rate.
+	ringHighFraction = 0.5
+	// notSentLowBytes bounds the kernel send-queue backlog below which a
+	// deep ring is attributed to the server's own drain (sender_backpressured)
+	// rather than the receiver.
+	notSentLowBytes = 4096
+	// depthWindow sizes the per-connection ring-depth window behind the
+	// /connz ring-depth p99 column.
+	depthWindow = 64
+)
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
@@ -153,23 +157,8 @@ func (c Config) withDefaults() Config {
 	if c.Hold <= 0 {
 		c.Hold = 2
 	}
-	if c.RetransThreshold <= 0 {
-		c.RetransThreshold = 3
-	}
-	if c.RwndFraction <= 0 {
-		c.RwndFraction = 0.1
-	}
-	if c.RingHighFraction <= 0 {
-		c.RingHighFraction = 0.5
-	}
-	if c.NotSentLowBytes <= 0 {
-		c.NotSentLowBytes = 4096
-	}
 	if c.MaxVideoLabels <= 0 {
 		c.MaxVideoLabels = 16
-	}
-	if c.DepthWindow <= 0 {
-		c.DepthWindow = 64
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -349,7 +338,7 @@ func (s *Sampler) Register(conn net.Conn, video uint32, ringCap int) *Conn {
 		video:    video,
 		ringCap:  ringCap,
 		opened:   now,
-		depthWin: obs.NewWindow(s.cfg.DepthWindow),
+		depthWin: obs.NewWindow(depthWindow),
 	}
 	if conn != nil {
 		if addr := conn.RemoteAddr(); addr != nil {
@@ -560,17 +549,17 @@ func (s *Sampler) classify(wrote, backlog bool, occ float64, streak, retransDelt
 	if backlog && !wrote {
 		return StateStalled
 	}
-	if kernelOK && retransDelta >= s.cfg.RetransThreshold {
+	if kernelOK && retransDelta >= retransThreshold {
 		return StatePathLimited
 	}
 	if info.Extended && elapsed > 0 &&
-		rwndDelta >= time.Duration(s.cfg.RwndFraction*float64(elapsed)) {
+		rwndDelta >= time.Duration(rwndFraction*float64(elapsed)) {
 		return StateReceiverLimited
 	}
-	if occ >= s.cfg.RingHighFraction || streak > 0 {
+	if occ >= ringHighFraction || streak > 0 {
 		// A deep ring with a drained kernel queue means the network and the
 		// receiver are keeping up — the server's own drain is behind.
-		if kernelOK && info.NotSentBytes <= s.cfg.NotSentLowBytes {
+		if kernelOK && info.NotSentBytes <= notSentLowBytes {
 			return StateSenderBackpressured
 		}
 		return StateReceiverLimited

@@ -14,85 +14,57 @@ import (
 	"vodcast/internal/vodclient"
 )
 
-// Gate tunes the analytic pass/fail envelopes a step must sit inside. The
-// zero value selects the documented defaults; Disabled skips gating (every
-// step passes and Checks stays empty).
+// Gate selects whether steps are held to the analytic pass/fail envelopes
+// below; Disabled skips gating (every step passes and Checks stays empty).
 type Gate struct {
 	Disabled bool
+}
 
-	// ErrorBudget bounds the fraction of sessions that may fail outright
-	// (admit rejects, disconnects, timeouts). Default 0.01.
-	ErrorBudget float64
-	// MissBudget bounds deadline misses per completed session — the paper's
+// The gate's envelopes.
+const (
+	// errorBudget bounds the fraction of sessions that may fail outright
+	// (admit rejects, disconnects, timeouts).
+	errorBudget = 0.01
+	// missBudget bounds deadline misses per completed session — the paper's
 	// delivery guarantee says zero, so the budget only absorbs measurement
-	// edge effects. Default 0.01.
-	MissBudget float64
-	// StartupSlackSlots pads the waiting-time envelope: p99 startup delay
-	// must not exceed T[1] + StartupSlackSlots. DHB promises segment 1
+	// edge effects.
+	missBudget = 0.01
+	// startupSlackSlots pads the waiting-time envelope: p99 startup delay
+	// must not exceed T[1] + startupSlackSlots. DHB promises segment 1
 	// within T[1] slots of admission; the slack absorbs the half-open slot
-	// the admission itself lands in. Default 1.
-	StartupSlackSlots float64
-	// SaturatedTolerance pads the hard bandwidth ceiling: each video's
+	// the admission itself lands in.
+	startupSlackSlots = 1
+	// saturatedTolerance pads the hard bandwidth ceiling: each video's
 	// measured broadcast load may exceed DHBSaturated by this fraction
-	// (absorbing boundary effects of short steps). Default 0.15.
-	SaturatedTolerance float64
-	// MeanTolerance and MeanSlackStreams pad the renewal-model envelope:
-	// measured load must stay under DHBMean(measured rate)×(1+MeanTolerance)
-	// + MeanSlackStreams. The relative term absorbs model error, the
-	// absolute term short-step variance at low rates. Defaults 0.5 and 0.5.
-	MeanTolerance    float64
-	MeanSlackStreams float64
-	// MinSessions is the smallest completed-session count a step needs
-	// before its client-side distributions are gated; MinSlots the smallest
+	// (absorbing boundary effects of short steps).
+	saturatedTolerance = 0.15
+	// meanTolerance and meanSlackStreams pad the renewal-model envelope:
+	// measured load must stay under DHBMean(measured rate)×(1+meanTolerance)
+	// + meanSlackStreams. The relative term absorbs model error, the
+	// absolute term short-step variance at low rates.
+	meanTolerance    = 0.5
+	meanSlackStreams = 0.5
+	// minSessions is the smallest completed-session count a step needs
+	// before its client-side distributions are gated; minSlots the smallest
 	// per-video slot delta before its bandwidth is gated. Too-small samples
-	// are skipped, not failed. Defaults 20 and 20.
-	MinSessions int
-	MinSlots    int
-	// ConnStalledBudget bounds the fraction of tracked connections the
+	// are skipped, not failed.
+	minSessions = 20
+	minSlots    = 20
+	// connStalledBudget bounds the fraction of tracked connections the
 	// server's transport telemetry classifies stalled at the step boundary —
 	// a healthy closed-loop fleet keeps reading, so any stall is the
-	// server's (or the harness's) fault. Default 0.05.
-	ConnStalledBudget float64
-	// ConnRetransBudget bounds mean kernel retransmits per tracked
+	// server's (or the harness's) fault.
+	connStalledBudget = 0.05
+	// connRetransBudget bounds mean kernel retransmits per tracked
 	// connection over the step: loopback load runs should see essentially
-	// none, so the default mostly exists for shaped-network profiles.
-	// Default 50.
-	ConnRetransBudget float64
-}
-
-func (g Gate) withDefaults() Gate {
-	if g.ErrorBudget == 0 {
-		g.ErrorBudget = 0.01
-	}
-	if g.MissBudget == 0 {
-		g.MissBudget = 0.01
-	}
-	if g.StartupSlackSlots == 0 {
-		g.StartupSlackSlots = 1
-	}
-	if g.SaturatedTolerance == 0 {
-		g.SaturatedTolerance = 0.15
-	}
-	if g.MeanTolerance == 0 {
-		g.MeanTolerance = 0.5
-	}
-	if g.MeanSlackStreams == 0 {
-		g.MeanSlackStreams = 0.5
-	}
-	if g.MinSessions == 0 {
-		g.MinSessions = 20
-	}
-	if g.MinSlots == 0 {
-		g.MinSlots = 20
-	}
-	if g.ConnStalledBudget == 0 {
-		g.ConnStalledBudget = 0.05
-	}
-	if g.ConnRetransBudget == 0 {
-		g.ConnRetransBudget = 50
-	}
-	return g
-}
+	// none, so the budget mostly exists for shaped-network profiles.
+	connRetransBudget = 50
+	// historyTolerance and historySlackRequests bound how far the server's
+	// retained history may disagree with its live request counter over a
+	// step: historyTolerance of the counter delta plus historySlackRequests.
+	historyTolerance     = 0.3
+	historySlackRequests = 10
+)
 
 // Check is one gate verdict: a measured quantity against its analytic
 // limit.
@@ -179,22 +151,21 @@ func (r *Report) finalize(interrupted bool) {
 
 // gateStep evaluates the envelopes for one finished step in place.
 func (h *Harness) gateStep(res *StepResult) {
-	g := h.cfg.Gate
 	res.Pass = true
-	if g.Disabled {
+	if h.cfg.Gate.Disabled {
 		return
 	}
 	total := res.Sessions + res.Errors
-	if total < uint64(g.MinSessions) {
+	if total < minSessions {
 		return
 	}
 	res.Gated = true
 
 	// Session health: errors and deadline misses against their budgets.
 	res.Checks = append(res.Checks,
-		check("error_rate", res.ErrorRate, g.ErrorBudget,
+		check("error_rate", res.ErrorRate, errorBudget,
 			fmt.Sprintf("%d of %d sessions failed", res.Errors, total)),
-		check("miss_rate", res.MissesPerSession, g.MissBudget,
+		check("miss_rate", res.MissesPerSession, missBudget,
 			fmt.Sprintf("%d deadline misses over %d sessions", res.Misses, res.Sessions)))
 
 	// Waiting time: DHB delivers segment 1 within T[1] slots of admission,
@@ -203,7 +174,7 @@ func (h *Harness) gateStep(res *StepResult) {
 	periods := h.periodsLearned()
 	if maxT1 := maxFirstPeriod(periods); maxT1 > 0 && res.Startup.Count > 0 {
 		res.Checks = append(res.Checks,
-			check("startup_p99_slots", res.Startup.P99, float64(maxT1)+g.StartupSlackSlots,
+			check("startup_p99_slots", res.Startup.P99, float64(maxT1)+startupSlackSlots,
 				fmt.Sprintf("T[1]=%d over %d videos", maxT1, len(periods))))
 	}
 
@@ -214,9 +185,9 @@ func (h *Harness) gateStep(res *StepResult) {
 	// tracked at the boundary.
 	if cd := res.Conn; cd != nil && cd.Tracked > 0 {
 		res.Checks = append(res.Checks,
-			check("conn_stalled_ratio", cd.StalledRatio, g.ConnStalledBudget,
+			check("conn_stalled_ratio", cd.StalledRatio, connStalledBudget,
 				fmt.Sprintf("%d of %d tracked connections stalled", cd.States["stalled"], cd.Tracked)),
-			check("conn_retrans_per_conn", cd.RetransPerConn, g.ConnRetransBudget,
+			check("conn_retrans_per_conn", cd.RetransPerConn, connRetransBudget,
 				fmt.Sprintf("%d kernel retransmits over %d connections", cd.Retrans, cd.Tracked)))
 	}
 
@@ -234,7 +205,7 @@ func (h *Harness) gateStep(res *StepResult) {
 		if hd := res.History; hd != nil && hd.Points >= 5 && res.Server.Requests > 0 {
 			hd.StatuszDelta = res.Server.Requests
 			diff := math.Abs(hd.Delta - float64(res.Server.Requests))
-			limit := 0.3*float64(res.Server.Requests) + 10
+			limit := historyTolerance*float64(res.Server.Requests) + historySlackRequests
 			res.Checks = append(res.Checks,
 				check("history_requests_delta", diff, limit,
 					fmt.Sprintf("history %s moved %.0f over %d points, statusz moved %d",
@@ -244,7 +215,7 @@ func (h *Harness) gateStep(res *StepResult) {
 		for i := range res.Server.PerVideo {
 			v := &res.Server.PerVideo[i]
 			p, ok := periods[v.Video]
-			if !ok || v.Slots < h.cfg.Gate.MinSlots || slotSec <= 0 {
+			if !ok || v.Slots < minSlots || slotSec <= 0 {
 				continue
 			}
 			sat, err := analysis.DHBSaturated(p)
@@ -253,14 +224,14 @@ func (h *Harness) gateStep(res *StepResult) {
 			}
 			v.Saturated = sat
 			res.Checks = append(res.Checks,
-				check(fmt.Sprintf("bandwidth_saturated_video_%d", v.Video), v.Load, sat*(1+g.SaturatedTolerance),
+				check(fmt.Sprintf("bandwidth_saturated_video_%d", v.Video), v.Load, sat*(1+saturatedTolerance),
 					fmt.Sprintf("measured %.3f streams over %d slots, H ceiling %.3f", v.Load, v.Slots, sat)))
 			if v.RatePerHour > 0 {
 				mean, err := analysis.DHBMean(p, v.RatePerHour, slotSec)
 				if err == nil {
 					v.MeanEnvelope = mean
 					res.Checks = append(res.Checks,
-						check(fmt.Sprintf("bandwidth_mean_video_%d", v.Video), v.Load, mean*(1+g.MeanTolerance)+g.MeanSlackStreams,
+						check(fmt.Sprintf("bandwidth_mean_video_%d", v.Video), v.Load, mean*(1+meanTolerance)+meanSlackStreams,
 							fmt.Sprintf("renewal model %.3f streams at %.0f req/h", mean, v.RatePerHour)))
 				}
 			}

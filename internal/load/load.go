@@ -128,8 +128,8 @@ type Config struct {
 	// time-of-day arrival waves of internal/workload. Nil runs fully closed
 	// loop: every worker issues its next session immediately.
 	Arrivals workload.RateFunc
-	// Gate tunes the analytic pass/fail envelopes; the zero value selects
-	// the documented defaults. Disable with Gate.Disabled.
+	// Gate holds every step to the analytic pass/fail envelopes unless
+	// Gate.Disabled is set.
 	Gate Gate
 }
 
@@ -222,7 +222,6 @@ func New(cfg Config) (*Harness, error) {
 	if cfg.ZipfSkew == 0 {
 		cfg.ZipfSkew = 1.0
 	}
-	cfg.Gate = cfg.Gate.withDefaults()
 	zipf, err := workload.NewZipf(len(cfg.Videos), cfg.ZipfSkew)
 	if err != nil {
 		return nil, fmt.Errorf("load: %w", err)

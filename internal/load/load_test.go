@@ -178,6 +178,25 @@ func TestGateHealthyStepPasses(t *testing.T) {
 	if math.Abs(v.MeanEnvelope-mean) > 1e-12 {
 		t.Fatalf("mean envelope = %v, want %v", v.MeanEnvelope, mean)
 	}
+	// Every check keeps its documented limit: the budgets, T[1] plus one
+	// slot of startup slack, 15% over saturation, and the renewal mean
+	// padded by 50% plus half a stream.
+	limits := map[string]float64{
+		"error_rate":                  0.01,
+		"miss_rate":                   0.01,
+		"startup_p99_slots":           1 + 1,
+		"bandwidth_saturated_video_1": 1.75 * 1.15,
+		"bandwidth_mean_video_1":      mean*1.5 + 0.5,
+	}
+	for _, c := range res.Checks {
+		want, ok := limits[c.Name]
+		if !ok {
+			t.Fatalf("unexpected check %q", c.Name)
+		}
+		if math.Abs(c.Limit-want) > 1e-12 {
+			t.Fatalf("%s limit = %v, want %v", c.Name, c.Limit, want)
+		}
+	}
 }
 
 func TestGateFailsOverBandwidth(t *testing.T) {
@@ -220,7 +239,7 @@ func TestGateFailsOnMissesAndStartup(t *testing.T) {
 func TestGateSkipsSmallSamples(t *testing.T) {
 	h := testHarness(t, Gate{})
 	res := healthyStep()
-	res.Sessions = 5 // below MinSessions
+	res.Sessions = 5 // below minSessions
 	res.MissesPerSession = 10
 	h.gateStep(&res)
 	if res.Gated || !res.Pass || len(res.Checks) != 0 {

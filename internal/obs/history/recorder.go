@@ -39,9 +39,6 @@ type RecorderConfig struct {
 	// Keep bounds retained bundle directories; older ones are pruned.
 	// <= 0 selects 8.
 	Keep int
-	// HistoryWindow bounds how far back the bundled metric history reaches.
-	// <= 0 selects 10 minutes.
-	HistoryWindow time.Duration
 	// Store supplies the bundled metric history (history.jsonl).
 	Store *Store
 	// Status supplies a rendered status snapshot (status.json), normally
@@ -58,6 +55,9 @@ type RecorderConfig struct {
 	// Clock stamps bundles and drives the cooldown; nil selects time.Now.
 	Clock func() time.Time
 }
+
+// historyWindow bounds how far back the bundled metric history reaches.
+const historyWindow = 10 * time.Minute
 
 // Recorder captures diagnostic bundles. All methods are safe for concurrent
 // use; a nil *Recorder is valid and inert, so a server without a flight
@@ -83,9 +83,6 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 	}
 	if cfg.Keep <= 0 {
 		cfg.Keep = 8
-	}
-	if cfg.HistoryWindow <= 0 {
-		cfg.HistoryWindow = 10 * time.Minute
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -187,7 +184,7 @@ func (r *Recorder) capture(reason string, now time.Time) (string, error) {
 	// Metric history: one JSONL line per retained series, bounded by the
 	// history window.
 	if st := r.cfg.Store; st != nil {
-		from := now.Add(-r.cfg.HistoryWindow)
+		from := now.Add(-historyWindow)
 		if err := write("history.jsonl", func(f *os.File) error {
 			enc := json.NewEncoder(f)
 			for _, series := range st.Series() {

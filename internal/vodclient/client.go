@@ -100,8 +100,8 @@ type FetchOptions struct {
 }
 
 // FetchWith runs one session against the server at addr as configured by
-// opts: it speaks protocol v2, continuing the server's admit trace and
-// summarizing playback QoE into a ClientReport, unless opts declines either.
+// opts: it joins the server's admit trace and summarizes playback QoE into
+// a ClientReport, unless opts declines either.
 func FetchWith(addr string, opts FetchOptions) (Result, error) {
 	if opts.From == 0 {
 		opts.From = 1
@@ -184,8 +184,6 @@ func runSession(conn net.Conn, start time.Time, dial time.Duration, opts FetchOp
 	if err != nil {
 		return Result{}, fmt.Errorf("vodclient: %w", err)
 	}
-	// A report is only owed when both sides speak v2 and nobody opted out.
-	sendReport := info.Version >= wire.ProtoV2 && !opts.NoReport
 
 	res := Result{
 		VideoID:    info.VideoID,
@@ -244,7 +242,7 @@ func runSession(conn net.Conn, start time.Time, dial time.Duration, opts FetchOp
 			res.MeanSlackSlots = q.MeanSlack()
 			res.SessionSlots = q.SessionSlots
 			res.Elapsed = time.Since(start)
-			if sendReport {
+			if !opts.NoReport {
 				report := wire.ClientReport{
 					Version:          wire.ProtoV2,
 					VideoID:          info.VideoID,

@@ -39,6 +39,7 @@ func goodInfo() wire.ScheduleInfo {
 		SlotMillis:   10,
 		SegmentBytes: 32,
 		AdmitSlot:    0,
+		Version:      wire.ProtoV2,
 		Periods:      []uint32{1, 2},
 	}
 }
@@ -172,6 +173,7 @@ func TestFetchHappyPathAgainstScript(t *testing.T) {
 			VideoID: 1, Segment: 2, Slot: 2, Payload: wire.SegmentPayload(1, 2, 32),
 		})
 		_ = wire.WriteFrame(conn, wire.SlotEnd{Slot: 2})
+		_, _ = wire.ReadFrame(conn) // drain the report
 	})
 	res, err := FetchWith(addr, FetchOptions{VideoID: 1, Timeout: 2 * time.Second, StrictDeadlines: true})
 	if err != nil {

@@ -61,7 +61,7 @@ func NewPool(addr string, maxConns int) (*Pool, error) {
 	}, nil
 }
 
-// Fetch runs one v2 session through the pool: wait for a connection slot,
+// Fetch runs one session through the pool: wait for a connection slot,
 // dial with the shared dialer, run the session, release the slot. The
 // returned Result carries the slot wait (PoolWait) and the dial latency
 // (Dial); opts.Timeout bounds dial plus session, not the slot wait — a

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the server half of the client QoE loop: it reads the
-// wire.ClientReport a v2 session sends at its end, folds it into the
+// wire.ClientReport a session sends at its end, folds it into the
 // client_* metric families and rolling windows /statusz serves, synthesizes
 // the client's side of the admit trace into /spanz, and arms the alert rules
 // that watch the folded signals. The server-side windows deliberately track
@@ -100,7 +100,7 @@ func (s *Server) armControlRead(conn net.Conn) error {
 	return conn.SetReadDeadline(time.Now().Add(max(4*s.cfg.SlotDuration, time.Second)))
 }
 
-// readReport collects the end-of-session ClientReport a v2 subscriber owes.
+// readReport collects the end-of-session ClientReport a subscriber owes.
 // The read is bounded: a client that never reports just times out and costs
 // nothing. Reports for the wrong video are discarded.
 func (s *Server) readReport(conn net.Conn, videoID uint32) {

@@ -19,6 +19,7 @@ package vodserver
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -820,6 +821,13 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	msg, err := wire.ReadFrame(conn)
 	if err != nil {
+		// A peer that hung up, reset or timed out gets nothing; one that
+		// sent an undecodable frame — a versionless request, say — learns
+		// why it was refused, best effort.
+		var netErr net.Error
+		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.As(err, &netErr) {
+			_ = wire.WriteFrame(conn, wire.ErrorMsg{Text: err.Error()})
+		}
 		return
 	}
 	req, ok := msg.(wire.Request)
@@ -827,15 +835,10 @@ func (s *Server) handleConn(conn net.Conn) {
 		_ = wire.WriteFrame(conn, wire.ErrorMsg{Text: "expected a request frame"})
 		return
 	}
-	// Version negotiation: a version-less request is an old client — serve
-	// it a v1 session with no trace fields and expect no report. Anything
-	// announcing v2 or later negotiates down to our v2.
-	proto := uint16(0)
-	if req.Version >= wire.ProtoV2 {
-		proto = wire.MaxProto
-	}
-	wantReport := proto >= wire.ProtoV2 && req.Flags&wire.FlagNoReport == 0
-	wantTrace := proto >= wire.ProtoV2 && req.Flags&wire.FlagNoTrace == 0
+	// ReadFrame guarantees req.Version >= ProtoV2; a peer announcing more is
+	// served at ProtoV2.
+	wantReport := req.Flags&wire.FlagNoReport == 0
+	wantTrace := req.Flags&wire.FlagNoTrace == 0
 
 	// The root span covers the whole pipeline from admit to the first
 	// fan-out byte reaching this subscriber; an unsampled request gets a
@@ -855,16 +858,13 @@ func (s *Server) handleConn(conn net.Conn) {
 		_ = wire.WriteFrame(conn, wire.ErrorMsg{Text: err.Error()})
 		return
 	}
-	if proto >= wire.ProtoV2 {
-		info.Version = proto
-		if wantTrace {
-			// The session joins the admit span's tree: the client echoes
-			// these identifiers in its report and the server synthesizes its
-			// playback as child spans. An unsampled root hands out zero and
-			// the session stays traceless.
-			info.TraceID = root.ID()
-			info.SpanID = root.ID()
-		}
+	if wantTrace {
+		// The session joins the admit span's tree: the client echoes these
+		// identifiers in its report and the server synthesizes its playback
+		// as child spans. An unsampled root hands out zero and the session
+		// stays traceless.
+		info.TraceID = root.ID()
+		info.SpanID = root.ID()
 	}
 	if err := wire.WriteFrame(conn, info); err != nil {
 		s.unsubscribe(req.VideoID, sub)
@@ -874,7 +874,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	if !s.drainRing(conn, req.VideoID, sub, int(info.AdmitSlot), wait, root) {
 		return
 	}
-	// The subscription ended cleanly (ring closed at the last slot). A v2
+	// The subscription ended cleanly (ring closed at the last slot). A
 	// session that did not opt out now owes us a ClientReport; a subscriber
 	// the fan-out dropped for falling behind gets disconnected instead.
 	if wantReport && !sub.ring.Dropped() {
@@ -1022,6 +1022,7 @@ func (s *Server) admit(videoID, fromSegment uint32, conn net.Conn, root *obs.Spa
 		SlotMillis:   uint32(s.cfg.SlotDuration / time.Millisecond),
 		SegmentBytes: uint32(v.cfg.SegmentBytes),
 		AdmitSlot:    uint64(admitSlot),
+		Version:      wire.ProtoV2,
 		Periods:      periods,
 	}
 	if len(v.cfg.SegmentSizes) != 0 {

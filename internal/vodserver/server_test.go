@@ -2,13 +2,14 @@ package vodserver
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"bytes"
 
 	"vodcast/internal/core"
 	"vodcast/internal/fanout"
@@ -519,13 +520,13 @@ func TestUnsubscribeIdempotent(t *testing.T) {
 	}
 }
 
-// TestRawWireV1Session drives a version-less request over a raw TCP
-// connection — the legacy protocol the retired Fetch helper spoke — and
-// checks the server still serves it: a v1 ScheduleInfo without trace
-// identifiers, every segment delivered with verified payload bytes, and the
-// stream left open past the final slot with no report owed.
-func TestRawWireV1Session(t *testing.T) {
+// TestVersionlessRequestRefused drives the original 8-byte request — the
+// versionless layout the retired Fetch helper spoke — over a raw TCP
+// connection. The server answers an ErrorMsg naming the 28-byte layout,
+// admits nothing, and releases the connection.
+func TestVersionlessRequestRefused(t *testing.T) {
 	s := startTestServer(t, VideoConfig{ID: 4, Segments: 5, SegmentBytes: 96})
+	start := time.Now()
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -534,52 +535,27 @@ func TestRawWireV1Session(t *testing.T) {
 	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, wire.Request{VideoID: 4, FromSegment: 1}); err != nil {
+	// Frame header (type, 4-byte length 8), then VideoID 4, FromSegment 1.
+	v1 := []byte{byte(wire.TypeRequest), 0, 0, 0, 8, 0, 0, 0, 4, 0, 0, 0, 1}
+	if _, err := conn.Write(v1); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, ok := msg.(wire.ScheduleInfo)
+	em, ok := msg.(wire.ErrorMsg)
 	if !ok {
-		t.Fatalf("first frame %T, want ScheduleInfo", msg)
+		t.Fatalf("first frame %T, want ErrorMsg", msg)
 	}
-	if info.Version != 0 || info.TraceID != 0 || info.SpanID != 0 {
-		t.Fatalf("v1 session granted v2 fields: %+v", info)
+	if !strings.Contains(em.Text, "want 28") {
+		t.Fatalf("error %q does not name the 28-byte request layout", em.Text)
 	}
-	// Consume the broadcast exactly as the old v1 client did: verify every
-	// payload byte, stop at the slot that retires the whole schedule.
-	last := info.AdmitSlot
-	for _, p := range info.Periods {
-		if info.AdmitSlot+uint64(p) > last {
-			last = info.AdmitSlot + uint64(p)
-		}
+	if _, err := wire.ReadFrame(conn); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the refusal read %v, want EOF", err)
 	}
-	got := make(map[uint32]bool)
-	for {
-		msg, err := wire.ReadFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch m := msg.(type) {
-		case wire.Segment:
-			want := wire.SegmentPayload(m.VideoID, m.Segment, info.SizeOf(m.Segment))
-			if !bytes.Equal(m.Payload, want) {
-				t.Fatalf("corrupt payload for segment %d", m.Segment)
-			}
-			got[m.Segment] = true
-		case wire.SlotEnd:
-			if m.Slot >= last {
-				for j := uint32(1); j <= info.Segments; j++ {
-					if !got[j] {
-						t.Fatalf("segment %d never delivered", j)
-					}
-				}
-				return
-			}
-		default:
-			t.Fatalf("unexpected frame %T", msg)
-		}
+	if got := s.Stats().Requests; got != 0 {
+		t.Fatalf("vod_requests_total = %d after a refused request, want 0", got)
 	}
+	waitHandlersGone(t, s, start, 5*time.Second)
 }

@@ -9,13 +9,10 @@ import (
 // FuzzReadFrame feeds arbitrary bytes to the frame decoder: it must never
 // panic, never allocate unboundedly, and round-trip anything it accepts.
 func FuzzReadFrame(f *testing.F) {
-	// Seed with one valid frame of each type, both protocol versions.
+	// Seed with one valid frame of each type.
 	seeds := []any{
-		Request{VideoID: 1},
 		Request{VideoID: 1, FromSegment: 2, Version: ProtoV2,
 			Flags: FlagNoReport, TraceID: 7, SpanID: 8},
-		ScheduleInfo{VideoID: 1, Segments: 2, SlotMillis: 10, SegmentBytes: 64,
-			AdmitSlot: 5, Periods: []uint32{1, 2}},
 		ScheduleInfo{VideoID: 1, Segments: 2, SlotMillis: 10, SegmentBytes: 64,
 			AdmitSlot: 5, Version: ProtoV2, TraceID: 3, SpanID: 4,
 			Periods: []uint32{1, 2}, SegmentSizes: []uint32{32, 64}},
@@ -35,6 +32,17 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	// A schedule info whose forged segment count 0x80000002 wraps
+	// 4*Segments around uint32 to the 8 period bytes present.
+	var forged bytes.Buffer
+	if err := WriteFrame(&forged, ScheduleInfo{Segments: 2, Version: ProtoV2,
+		Periods: []uint32{1, 2}}); err != nil {
+		f.Fatal(err)
+	}
+	raw := forged.Bytes()
+	raw[5+4+0] = 0x80
+	raw[5+4+3] = 0x02
+	f.Add(raw)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		msg, err := ReadFrame(bytes.NewReader(raw))

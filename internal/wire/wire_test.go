@@ -24,13 +24,14 @@ func roundTrip(t *testing.T, msg any) any {
 
 func TestRoundTripAllTypes(t *testing.T) {
 	msgs := []any{
-		Request{VideoID: 7},
+		Request{VideoID: 7, Version: ProtoV2},
 		ScheduleInfo{
 			VideoID:      1,
 			Segments:     3,
 			SlotMillis:   50,
 			SegmentBytes: 4096,
 			AdmitSlot:    123456789,
+			Version:      ProtoV2,
 			Periods:      []uint32{1, 2, 3},
 		},
 		Segment{VideoID: 2, Segment: 9, Slot: 42, Payload: []byte("hello segment")},
@@ -78,19 +79,11 @@ func TestRoundTripVersionedFrames(t *testing.T) {
 	}
 }
 
-// TestVersionNegotiationLayouts pins the backward-compat contract: a
-// versionless request is exactly the original 8 bytes, versioned frames are
-// structurally distinguishable, and half-versioned frames are rejected at
-// encode time.
+// TestVersionNegotiationLayouts pins the one wire layout: a request is
+// always the 28-byte body, frames below ProtoV2 are rejected at encode
+// time, and a decoded frame must announce at least ProtoV2.
 func TestVersionNegotiationLayouts(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, Request{VideoID: 3, FromSegment: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 5+8 {
-		t.Fatalf("versionless request is %d bytes on the wire, want 13", buf.Len())
-	}
-	buf.Reset()
 	if err := WriteFrame(&buf, Request{VideoID: 3, Version: ProtoV2}); err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +91,12 @@ func TestVersionNegotiationLayouts(t *testing.T) {
 		t.Fatalf("v2 request is %d bytes on the wire, want 33", buf.Len())
 	}
 
-	// Trace fields without a version must not silently vanish.
+	// Frames below ProtoV2 have no layout.
 	if err := WriteFrame(&buf, Request{VideoID: 3, TraceID: 1}); err == nil {
 		t.Error("request with trace id but no version accepted")
 	}
-	if err := WriteFrame(&buf, Request{VideoID: 3, Version: ProtoV1}); err == nil {
-		t.Error("request with explicit v1 layout accepted")
+	if err := WriteFrame(&buf, Request{VideoID: 3, Version: 1}); err == nil {
+		t.Error("request with version 1 accepted")
 	}
 	if err := WriteFrame(&buf, ScheduleInfo{Segments: 1, Periods: []uint32{1}, TraceID: 9}); err == nil {
 		t.Error("schedule info with trace id but no version accepted")
@@ -112,7 +105,7 @@ func TestVersionNegotiationLayouts(t *testing.T) {
 		t.Error("versionless client report accepted")
 	}
 
-	// A decoded versioned frame must announce at least v2.
+	// A decoded frame must announce at least v2.
 	buf.Reset()
 	if err := WriteFrame(&buf, Request{VideoID: 3, Version: ProtoV2}); err != nil {
 		t.Fatal(err)
@@ -120,7 +113,33 @@ func TestVersionNegotiationLayouts(t *testing.T) {
 	raw := buf.Bytes()
 	raw[5+9] = 0 // patch announced version to 0
 	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
-		t.Error("versioned request announcing version 0 accepted")
+		t.Error("request announcing version 0 accepted")
+	}
+	buf.Reset()
+	if err := WriteFrame(&buf, ScheduleInfo{Segments: 1, Version: ProtoV2, Periods: []uint32{1}}); err != nil {
+		t.Fatal(err)
+	}
+	raw = buf.Bytes()
+	raw[5+25] = 1 // patch announced version to 1
+	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
+		t.Error("schedule info announcing version 1 accepted")
+	}
+}
+
+// TestReadRejectsVersionlessLayouts: the original versionless frames — an
+// 8-byte request, a schedule info without the trace block — no longer
+// decode.
+func TestReadRejectsVersionlessLayouts(t *testing.T) {
+	req := []byte{byte(TypeRequest), 0, 0, 0, 8, 0, 0, 0, 4, 0, 0, 0, 1}
+	if _, err := ReadFrame(bytes.NewReader(req)); err == nil ||
+		!strings.Contains(err.Error(), "want 28") {
+		t.Errorf("8-byte request: err = %v, want the 28-byte layout named", err)
+	}
+	// 24-byte head plus one period, no trace block.
+	info := append([]byte{byte(TypeScheduleInfo), 0, 0, 0, 28}, make([]byte, 28)...)
+	info[5+7] = 1 // one segment
+	if _, err := ReadFrame(bytes.NewReader(info)); err == nil {
+		t.Error("schedule info without a trace block accepted")
 	}
 }
 
@@ -184,7 +203,7 @@ func TestWriteRejects(t *testing.T) {
 	if err := WriteFrame(&buf, struct{}{}); err == nil {
 		t.Error("unknown type accepted")
 	}
-	if err := WriteFrame(&buf, ScheduleInfo{Segments: 2, Periods: []uint32{1}}); err == nil {
+	if err := WriteFrame(&buf, ScheduleInfo{Segments: 2, Version: ProtoV2, Periods: []uint32{1}}); err == nil {
 		t.Error("mismatched periods accepted")
 	}
 	if err := WriteFrame(&buf, Segment{Payload: make([]byte, MaxBody+1)}); err == nil {
@@ -216,7 +235,7 @@ func TestReadRejectsMalformed(t *testing.T) {
 
 func TestReadRejectsBadPeriodCount(t *testing.T) {
 	var buf bytes.Buffer
-	info := ScheduleInfo{Segments: 2, Periods: []uint32{1, 2}}
+	info := ScheduleInfo{Segments: 2, Version: ProtoV2, Periods: []uint32{1, 2}}
 	if err := WriteFrame(&buf, info); err != nil {
 		t.Fatal(err)
 	}
@@ -262,6 +281,7 @@ func TestReadRejectsOverflowingSegmentCount(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, ScheduleInfo{
 		Segments: 2,
+		Version:  ProtoV2,
 		Periods:  []uint32{1, 2},
 	}); err != nil {
 		t.Fatal(err)
@@ -271,8 +291,9 @@ func TestReadRejectsOverflowingSegmentCount(t *testing.T) {
 	// that 4*segments == 8 (mod 2^32), matching the 8 period bytes present.
 	raw[5+4+0] = 0x80
 	raw[5+4+3] = 0x02
-	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
-		t.Fatal("overflowing segment count accepted")
+	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil ||
+		!strings.Contains(err.Error(), "tail bytes") {
+		t.Fatalf("overflowing segment count: err = %v, want the tail bytes mismatch", err)
 	}
 }
 
@@ -283,6 +304,7 @@ func TestScheduleInfoWithSizesRoundTrip(t *testing.T) {
 		SlotMillis:   25,
 		SegmentBytes: 0,
 		AdmitSlot:    11,
+		Version:      ProtoV2,
 		Periods:      []uint32{1, 3, 3},
 		SegmentSizes: []uint32{100, 250, 80},
 	}
@@ -307,6 +329,7 @@ func TestWriteRejectsMismatchedSizes(t *testing.T) {
 	var buf bytes.Buffer
 	err := WriteFrame(&buf, ScheduleInfo{
 		Segments:     2,
+		Version:      ProtoV2,
 		Periods:      []uint32{1, 2},
 		SegmentSizes: []uint32{7},
 	})
